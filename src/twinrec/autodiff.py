@@ -5,19 +5,23 @@ and ``Tensor.backward()`` on a scalar loss walks the tape once in reverse
 topological order. Storage defaults to float32; wrap model construction and
 forward passes in ``use_dtype(np.float64)`` when checking gradients.
 
-Only the operations the model actually needs are implemented: matmul,
-elementwise arithmetic with numpy-style broadcasting, concat, row indexing,
-slicing, softmax / log-softmax, SiLU, GeLU, sum, reshape and transpose.
+Only the operations the model actually needs are implemented: elementwise
+arithmetic with numpy-style broadcasting, matmul and transpose over the last
+two axes (leading batch axes broadcast), concat, numpy indexing (a row
+gather's backward is one scatter-add), masked softmax / log-softmax, SiLU,
+GeLU, sum and reshape. Inside ``no_grad()`` nothing is recorded.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf
 
 _DTYPE = np.float32
+_GRAD_ENABLED = True
 
 
 class NumericDomainError(ValueError):
@@ -38,6 +42,18 @@ def use_dtype(dtype):
         yield
     finally:
         _DTYPE = old
+
+
+@contextmanager
+def no_grad():
+    """Record no graph, so inference frees each intermediate once it is dead."""
+    global _GRAD_ENABLED
+    old = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = old
 
 
 def _unbroadcast(grad, shape):
@@ -68,16 +84,16 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out._parents = parents if out.requires_grad else ()
         out._backward = None
         return out
 
     def _accum(self, g):
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-        else:
-            self.grad += g
+        # ``g`` may be another node's gradient or a read-only broadcast view,
+        # so it is kept as is and never updated in place.
+        g = np.asarray(g, dtype=self.data.dtype)
+        self.grad = g if self.grad is None else self.grad + g
 
     @property
     def shape(self):
@@ -108,84 +124,69 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # -- arithmetic -----------------------------------------------------
+    # A backward closure gets its output's gradient as ``g`` and never refers
+    # to the output itself, so graphs hold no cycles and refcounting frees them.
 
     def __add__(self, other):
         other = as_tensor(other)
         out = Tensor._result(self.data + other.data, (self, other))
         if out.requires_grad:
-            def bw():
+            def bw(g):
                 if self.requires_grad:
-                    self._accum(_unbroadcast(out.grad, self.data.shape))
+                    self._accum(_unbroadcast(g, self.data.shape))
                 if other.requires_grad:
-                    other._accum(_unbroadcast(out.grad, other.data.shape))
+                    other._accum(_unbroadcast(g, other.data.shape))
             out._backward = bw
         return out
 
     __radd__ = __add__
 
-    def __neg__(self):
-        out = Tensor._result(-self.data, (self,))
-        if out.requires_grad:
-            def bw():
-                self._accum(-out.grad)
-            out._backward = bw
-        return out
-
-    def __sub__(self, other):
-        return self + (-as_tensor(other))
-
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other):
         other = as_tensor(other)
         out = Tensor._result(self.data * other.data, (self, other))
         if out.requires_grad:
-            def bw():
+            def bw(g):
                 if self.requires_grad:
-                    self._accum(_unbroadcast(out.grad * other.data, self.data.shape))
+                    self._accum(_unbroadcast(g * other.data, self.data.shape))
                 if other.requires_grad:
-                    other._accum(_unbroadcast(out.grad * self.data, other.data.shape))
+                    other._accum(_unbroadcast(g * self.data, other.data.shape))
             out._backward = bw
         return out
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
+        """Matrix product over the last two axes, leading axes broadcast."""
         out = Tensor._result(self.data @ other.data, (self, other))
         if out.requires_grad:
-            def bw():
+            def bw(g):
                 if self.requires_grad:
-                    self._accum(out.grad @ other.data.T)
+                    self._accum(_unbroadcast(g @ other.data.swapaxes(-1, -2), self.data.shape))
                 if other.requires_grad:
-                    other._accum(self.data.T @ out.grad)
+                    other._accum(_unbroadcast(self.data.swapaxes(-1, -2) @ g, other.data.shape))
             out._backward = bw
         return out
 
     def transpose(self):
-        out = Tensor._result(self.data.T, (self,))
+        """Swap the last two axes."""
+        out = Tensor._result(self.data.swapaxes(-1, -2), (self,))
         if out.requires_grad:
-            def bw():
-                self._accum(out.grad.T)
-            out._backward = bw
+            out._backward = lambda g: self._accum(g.swapaxes(-1, -2))
         return out
 
     def reshape(self, *shape):
         out = Tensor._result(self.data.reshape(*shape), (self,))
         if out.requires_grad:
-            def bw():
-                self._accum(out.grad.reshape(self.data.shape))
-            out._backward = bw
+            out._backward = lambda g: self._accum(g.reshape(self.data.shape))
         return out
 
     def sum(self, axis=None, keepdims=False):
         out = Tensor._result(self.data.sum(axis=axis, keepdims=keepdims), (self,))
         if out.requires_grad:
-            def bw():
-                g = out.grad
+            def bw(g):
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
                 self._accum(np.broadcast_to(g, self.data.shape))
@@ -193,11 +194,12 @@ class Tensor:
         return out
 
     def __getitem__(self, key):
+        """Numpy indexing; the backward scatter-adds, so repeated rows accumulate."""
         out = Tensor._result(self.data[key], (self,))
         if out.requires_grad:
-            def bw():
+            def bw(g):
                 buf = np.zeros_like(self.data)
-                buf[key] += out.grad
+                np.add.at(buf, key, g)
                 self._accum(buf)
             out._backward = bw
         return out
@@ -210,9 +212,7 @@ class Tensor:
         sig = 1.0 / (1.0 + np.exp(-self.data))
         out = Tensor._result(self.data * sig, (self,))
         if out.requires_grad:
-            def bw():
-                self._accum(out.grad * sig * (1.0 + self.data * (1.0 - sig)))
-            out._backward = bw
+            out._backward = lambda g: self._accum(g * sig * (1.0 + self.data * (1.0 - sig)))
         return out
 
     def gelu(self):
@@ -220,13 +220,13 @@ class Tensor:
         if not np.isfinite(self.data).all():
             raise NumericDomainError("gelu: non-finite input")
         x = self.data
-        cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+        # Python-float constants: a numpy float64 scalar would promote
+        # float32 storage to float64.
+        cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
         out = Tensor._result(x * cdf, (self,))
         if out.requires_grad:
-            pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-            def bw():
-                self._accum(out.grad * (cdf + x * pdf))
-            out._backward = bw
+            out._backward = lambda g: self._accum(
+                g * (cdf + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)))
         return out
 
     def softmax(self, axis=-1, mask=None):
@@ -242,10 +242,7 @@ class Tensor:
         y = e / e.sum(axis=axis, keepdims=True)
         out = Tensor._result(y, (self,))
         if out.requires_grad:
-            def bw():
-                g = out.grad
-                self._accum(y * (g - (g * y).sum(axis=axis, keepdims=True)))
-            out._backward = bw
+            out._backward = lambda g: self._accum(y * (g - (g * y).sum(axis=axis, keepdims=True)))
         return out
 
     def log_softmax(self, axis=-1):
@@ -254,10 +251,7 @@ class Tensor:
         ls = shifted - lse
         out = Tensor._result(ls, (self,))
         if out.requires_grad:
-            def bw():
-                g = out.grad
-                self._accum(g - np.exp(ls) * g.sum(axis=axis, keepdims=True))
-            out._backward = bw
+            out._backward = lambda g: self._accum(g - np.exp(ls) * g.sum(axis=axis, keepdims=True))
         return out
 
     def __repr__(self):
@@ -268,35 +262,18 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def zeros(shape):
-    return Tensor(np.zeros(shape))
-
-
 def concat(tensors, axis=0):
     """Concatenate tensors; the backward pass splits gradients exactly."""
     tensors = [as_tensor(t) for t in tensors]
     out = Tensor._result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
     if out.requires_grad:
         offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
-        def bw():
+        def bw(g):
             for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
                 if t.requires_grad:
-                    idx = [slice(None)] * out.grad.ndim
+                    idx = [slice(None)] * g.ndim
                     idx[axis] = slice(lo, hi)
-                    t._accum(out.grad[tuple(idx)])
-        out._backward = bw
-    return out
-
-
-def index_rows(table, indices):
-    """Select rows of a 2-D tensor; gradients scatter-add back into the table."""
-    idx = np.asarray(indices, dtype=np.int64)
-    out = Tensor._result(table.data[idx], (table,))
-    if out.requires_grad:
-        def bw():
-            buf = np.zeros_like(table.data)
-            np.add.at(buf, idx, out.grad)
-            table._accum(buf)
+                    t._accum(g[tuple(idx)])
         out._backward = bw
     return out
 

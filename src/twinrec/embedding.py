@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, concat, index_rows
+from .autodiff import Tensor, concat
 
 # Item padding sentinel lives outside the quotient-remainder range; real
 # items use 0-based global indices.
@@ -129,9 +129,9 @@ class EmbeddingParams:
 
 
 def lookup_bases(params, item_indices):
-    """Base rows for a window of items: list of N (T, D) tensors."""
+    """Base rows for items of shape (..., T): list of N (..., T, D) tensors."""
     per_table = decompose_indices(item_indices, params.sizes)
-    return [index_rows(tbl, idx) for tbl, idx in zip(params.tables, per_table)]
+    return [tbl[idx] for tbl, idx in zip(params.tables, per_table)]
 
 
 def fuse_dynamic(bases, ctx_emb, w_att):
@@ -143,14 +143,11 @@ def fuse_dynamic(bases, ctx_emb, w_att):
     logits = []
     w_att_t = w_att.transpose()
     for base in bases:
-        proj = (base @ w_att_t).silu()            # (T, D)
-        logits.append((ctx_emb * proj).sum(axis=1, keepdims=True))
-    alphas = concat(logits, axis=1).softmax(axis=1)  # (T, N)
-    fused = None
-    for n, base in enumerate(bases):
-        term = alphas[:, n:n + 1] * base
-        fused = term if fused is None else fused + term
-    return fused, alphas
+        proj = (base @ w_att_t).silu()            # (..., T, D)
+        logits.append((ctx_emb * proj).sum(axis=-1, keepdims=True))
+    alphas = concat(logits, axis=-1).softmax(axis=-1)  # (..., T, N)
+    terms = [alphas[..., n:n + 1] * base for n, base in enumerate(bases)]
+    return sum(terms[1:], terms[0]), alphas
 
 
 def fuse_static(bases):
@@ -163,11 +160,11 @@ def fuse_static(bases):
 
 def contextualize(fused, ctx_emb, w_mix, b_mix):
     """Inject the context vector: SiLU of an affine map on [h ; r]."""
-    return (concat([fused, ctx_emb], axis=1) @ w_mix + b_mix).silu()
+    return (concat([fused, ctx_emb], axis=-1) @ w_mix + b_mix).silu()
 
 
 def embed_sequence(item_indices, ctx_indices, params, dynamic=True):
-    """Stack per-item compositional embeddings into a (T, D) matrix.
+    """Compositional embeddings of items (..., T): a (..., T, D) tensor.
 
     Positions holding the padding sentinel yield exact zero rows.
     Returns (H, alphas) where alphas is None for static fusion.
@@ -181,12 +178,10 @@ def embed_sequence(item_indices, ctx_indices, params, dynamic=True):
     valid = items != PAD_ITEM
     safe_items = np.where(valid, items, 0)
     bases = lookup_bases(params, safe_items)
-    ctx_emb = index_rows(params.context_table, np.where(valid, ctxs, UNK_CONTEXT))
+    ctx_emb = params.context_table[np.where(valid, ctxs, UNK_CONTEXT)]
     if dynamic:
         fused, alphas = fuse_dynamic(bases, ctx_emb, params.w_att)
     else:
         fused, alphas = fuse_static(bases), None
     h = contextualize(fused, ctx_emb, params.w_mix, params.b_mix)
-    if not valid.all():
-        h = h * Tensor(valid.astype(h.data.dtype)[:, None])
-    return h, alphas
+    return h * Tensor(valid[..., None]), alphas

@@ -5,7 +5,8 @@ per channel (O(LD) parameters per head, centred window, zero padding). The
 attention branch adds learnable position embeddings and applies scaled
 dot-product self-attention (O(3D^2) per head). With H heads per branch the
 outputs are concatenated along the feature axis into a (T, 2HD) matrix,
-convolution heads first.
+convolution heads first. Every function works on the trailing (T, D) axes
+under any leading batch shape.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, zeros
+from .autodiff import Tensor, concat
 
 
 @dataclass
@@ -43,27 +44,30 @@ class PositionTable:
         return self.table.data.shape[0]
 
 
+def _correlate(x, kernels):
+    """``out[..., i, :] = sum_j kernels[j] * x[..., i + j - L//2, :]``, and the padded ``x``."""
+    length, t = kernels.shape[0], x.shape[-2]
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(length // 2, length // 2), (0, 0)])
+    return sum(xp[..., j:j + t, :] * kernels[j] for j in range(length)), xp
+
+
 def conv_branch(h, head):
-    """Depthwise 1-D convolution, centred window, zero padding at the ends."""
-    t, d = h.data.shape
-    length = head.window
-    half = length // 2
-    out = None
-    for j in range(length):
-        offset = j - half  # output row i reads input row i + offset
-        lo, hi = max(0, offset), t + min(0, offset)
-        if lo >= hi:
-            continue
-        seg = h[lo:hi] * head.kernels[j:j + 1, :]
-        top, bottom = max(0, -offset), max(0, offset)
-        parts = []
-        if top:
-            parts.append(zeros((top, d)))
-        parts.append(seg)
-        if bottom:
-            parts.append(zeros((bottom, d)))
-        shifted = concat(parts, axis=0) if len(parts) > 1 else seg
-        out = shifted if out is None else out + shifted
+    """Depthwise 1-D convolution over (..., T, D), centred window, zero padding at the ends.
+
+    One graph node; its backward correlates the gradient with the flipped kernels.
+    """
+    kernels = head.kernels
+    data, padded = _correlate(h.data, kernels.data)
+    out = Tensor._result(data, (h, kernels))
+    if out.requires_grad:
+        def bw(g):
+            if h.requires_grad:
+                h._accum(_correlate(g, kernels.data[::-1])[0])
+            if kernels.requires_grad:
+                t, d = g.shape[-2:]
+                kernels._accum(np.stack([(g * padded[..., j:j + t, :]).reshape(-1, d).sum(axis=0)
+                                         for j in range(head.window)]))
+        out._backward = bw
     return out
 
 
@@ -74,9 +78,10 @@ def attn_branch(h, positions, head, n_heads, valid_mask=None):
     by how training samples are constructed. Padded positions, when given
     via ``valid_mask``, are excluded as attention targets.
 
-    Returns (output (T, D), attention weights (T, T)).
+    Works on (..., T, D); ``valid_mask`` has shape (..., T).
+    Returns (output (..., T, D), attention weights (..., T, T)).
     """
-    t, d = h.data.shape
+    t, d = h.data.shape[-2:]
     if t > positions.max_len:
         raise ValueError(f"sequence length {t} exceeds position table {positions.max_len}")
     ht = h + positions.table[:t]
@@ -85,17 +90,15 @@ def attn_branch(h, positions, head, n_heads, valid_mask=None):
     v = ht @ head.w_v.transpose()
     scale = 1.0 / math.sqrt(d / n_heads)
     logits = (q @ k.transpose()) * scale
-    mask = None
-    if valid_mask is not None:
-        mask = np.broadcast_to(np.asarray(valid_mask, dtype=bool)[None, :], (t, t))
-    weights = logits.softmax(axis=1, mask=mask)
+    mask = None if valid_mask is None else np.asarray(valid_mask, dtype=bool)[..., None, :]
+    weights = logits.softmax(axis=-1, mask=mask)
     return weights @ v, weights
 
 
 def twin_forward(h, conv_heads, attn_heads, positions, valid_mask=None):
     """Run all heads and concatenate along features: conv heads first.
 
-    Returns (output (T, 2HD), list of per-head attention weight tensors).
+    Returns (output (..., T, 2HD), list of per-head attention weight tensors).
     """
     outputs = [conv_branch(h, head) for head in conv_heads]
     attn_weights = []
@@ -103,10 +106,10 @@ def twin_forward(h, conv_heads, attn_heads, positions, valid_mask=None):
         out, weights = attn_branch(h, positions, head, len(attn_heads), valid_mask)
         outputs.append(out)
         attn_weights.append(weights)
-    widths = {o.data.shape[1] for o in outputs}
+    widths = {o.data.shape[-1] for o in outputs}
     if len(widths) != 1:
         raise ValueError(f"mismatched head output widths {sorted(widths)}")
-    return concat(outputs, axis=1), attn_weights
+    return concat(outputs, axis=-1), attn_weights
 
 
 def count_branch_params(n_heads, window, dim):

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import autodiff
-from .autodiff import Tensor, concat
+from .autodiff import Tensor
 from . import embedding as emb
 from .encoder import AttnHead, ConvHead, PositionTable, twin_forward
-from .embedding import EmbeddingParams, PAD_ITEM
+from .embedding import EmbeddingParams, PAD_ITEM, UNK_CONTEXT
 
 VARIANTS = ("full", "full_emb", "wo_dynamic", "plain_attn")
 
@@ -122,38 +122,41 @@ class SequentialRecommender:
     # -- forward --------------------------------------------------------
 
     def forward(self, items, ctx_indices):
-        """Run the full pipeline for one sequence.
+        """Run the full pipeline for one sequence (T,) or a batch (B, T).
 
-        Returns a dict with the final-position logits (1, |V|), the encoder
-        hidden states and the per-layer, per-head attention weights.
+        Returns a dict with the last-valid-position logits, (1 or B, |V|), the
+        encoder hidden states and the per-layer, per-head attention weights.
         """
         items = np.asarray(items, dtype=np.int64)
         if items.size == 0:
             raise ValueError("empty sequence")
-        if items.size > self.config.max_len:
-            raise ValueError(f"sequence length {items.size} exceeds max_len {self.config.max_len}")
+        t = items.shape[-1]
+        if t > self.config.max_len:
+            raise ValueError(f"sequence length {t} exceeds max_len {self.config.max_len}")
         valid = items != PAD_ITEM
-        if not valid.any():
+        if not valid.any(axis=-1).all():
             raise ValueError("sequence contains only padding")
         h, alphas = emb.embed_sequence(items, ctx_indices, self.embedding,
                                        dynamic=self.dynamic_fusion)
-        mask = None if valid.all() else valid
         attention = []
-        for conv_heads, attn_heads, positions, (w1, b1, w2, b2) in self.layers:
-            twin, weights = twin_forward(h, conv_heads, attn_heads, positions, mask)
+        for l, (conv_heads, attn_heads, positions, (w1, b1, w2, b2)) in enumerate(self.layers):
+            if l:
+                # Padded rows must enter every layer as zeros, as they enter
+                # the first, or the conv taps read them into valid rows.
+                h = h * Tensor(valid[..., None])
+            twin, weights = twin_forward(h, conv_heads, attn_heads, positions, valid)
             h = (twin @ w1 + b1).gelu() @ w2 + b2
             attention.append(weights)
-        last = int(np.max(np.nonzero(valid)[0]))
-        z = h[last:last + 1]
+        rows = valid.reshape(-1, t)
+        last = t - 1 - np.argmax(rows[:, ::-1], axis=1)
+        z = h.reshape(-1, t, self.config.dim)[np.arange(len(rows)), last]
         logits = z @ self.params["out.w"] + self.params["out.b"]
         return {"logits": logits, "hidden": h, "attention": attention, "alphas": alphas}
 
     def forward_scores(self, items, ctx_indices):
-        """Probability distribution over all items for the next step."""
-        return self.forward(items, ctx_indices)["logits"].softmax(axis=1)
-
-    def log_scores(self, items, ctx_indices):
-        return self.forward(items, ctx_indices)["logits"].log_softmax(axis=1)
+        """Probability distribution over all items for the next step; records no graph."""
+        with autodiff.no_grad():
+            return self.forward(items, ctx_indices)["logits"].softmax(axis=-1)
 
     def predict_topk(self, items, ctx_indices, k):
         """Top-k item indices by score, ties broken by ascending index."""
@@ -167,14 +170,22 @@ class SequentialRecommender:
     # -- loss -----------------------------------------------------------
 
     def training_loss(self, batch, lam):
-        """Mean cross-entropy over the batch plus lam * sum of squared parameters."""
-        terms = []
-        for items, ctx_indices, target in batch:
-            if not 0 <= target < self.config.vocab_size:
-                raise ValueError(f"target {target} outside item range")
-            lp = self.log_scores(items, ctx_indices)
-            terms.append(lp[:, target:target + 1])
-        loss = concat(terms, axis=1).sum() * (-1.0 / len(terms))
+        """Mean cross-entropy over the batch plus lam * sum of squared parameters.
+
+        One graph: windows are right-padded with PAD_ITEM, keeping their positions.
+        """
+        targets = np.array([target for _, _, target in batch], dtype=np.int64)
+        bad = targets[(targets < 0) | (targets >= self.config.vocab_size)]
+        if bad.size:
+            raise ValueError(f"target {bad[0]} outside item range")
+        t = max(len(items) for items, _, _ in batch)
+        items = np.full((len(batch), t), PAD_ITEM, dtype=np.int64)
+        ctxs = np.full((len(batch), t), UNK_CONTEXT, dtype=np.int64)
+        for row, (window, contexts, _) in enumerate(batch):
+            items[row, :len(window)] = window
+            ctxs[row, :len(window)] = contexts
+        log_probs = self.forward(items, ctxs)["logits"].log_softmax(axis=-1)
+        loss = log_probs[np.arange(len(batch)), targets].sum() * (-1.0 / len(batch))
         if lam:
             loss = loss + lam * l2_penalty(self.params)
         return loss
@@ -253,12 +264,17 @@ class SequentialRecommender:
 
 
 def l2_penalty(params):
-    """Sum of squared values over every trainable tensor."""
-    total = None
-    for p in params.values():
-        term = (p * p).sum()
-        total = term if total is None else total + term
-    return total
+    """Sum of squared values over every trainable tensor, as one graph node."""
+    tensors = tuple(params.values())
+    total = sum((p.data * p.data).sum() for p in tensors)
+    out = Tensor._result(np.asarray(total, dtype=tensors[0].data.dtype), tensors)
+    if out.requires_grad:
+        def bw(g):
+            for p in tensors:
+                if p.requires_grad:
+                    p._accum(2.0 * g * p.data)
+        out._backward = bw
+    return out
 
 
 def build_variant(kind, config, seed=0):

@@ -55,8 +55,13 @@ class Adam:
 
 
 def rank_of(scores, target):
-    """1-based rank of ``target`` under descending score, lower index wins ties."""
+    """1-based rank of ``target`` under descending score, lower index wins ties.
+
+    NaN ranks after every number, as in a numpy sort.
+    """
     s = scores[target]
+    if np.isnan(s):
+        return int(np.sum(~np.isnan(scores))) + int(np.sum(np.isnan(scores[:target]))) + 1
     better = int(np.sum(scores > s))
     tied_before = int(np.sum(scores[:target] == s))
     return better + tied_before + 1

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinrec.autodiff import (NumericDomainError, Tensor, activation, concat,
-                              finite_diff_check, index_rows, use_dtype)
+                              finite_diff_check, no_grad, use_dtype)
 
 
 def test_silu_at_zero():
@@ -109,7 +109,7 @@ class TestBackward:
 
     def test_index_rows_scatter_adds(self):
         table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        out = index_rows(table, [0, 2, 0])
+        out = table[np.array([0, 2, 0])]
         out.sum().backward()
         np.testing.assert_array_equal(table.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
@@ -125,7 +125,7 @@ def _random_composite(rng):
     idx = rng.integers(0, 5, size=6)
 
     def forward():
-        x = index_rows(params["e"], idx)
+        x = params["e"][idx]
         h = (x @ params["w"].transpose()).silu()
         h = concat([h[:3], h[3:]], axis=0)
         a = (h @ h.transpose()).softmax(axis=1)
@@ -165,6 +165,14 @@ def test_finite_diff_eps_bounds():
     theta = Tensor([1.0], requires_grad=True)
     with pytest.raises(ValueError):
         finite_diff_check(lambda: theta.sum(), {"theta": theta}, eps=1e-2)
+
+
+def test_no_grad_records_no_graph():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with no_grad():
+        y = (x * x).sum()
+    assert not y.requires_grad and y._parents == () and y._backward is None
+    assert (x * x).sum().requires_grad
 
 
 def test_storage_precision_modes():

@@ -1,9 +1,10 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
-from twinrec.autodiff import Tensor, use_dtype
+from twinrec.autodiff import Tensor, finite_diff_check, use_dtype
 from twinrec.model import (ModelConfig, SequentialRecommender, build_variant,
                            l2_penalty)
 
@@ -66,14 +67,44 @@ class TestForward:
         from twinrec.embedding import PAD_ITEM
         rng = np.random.default_rng(3)
         with use_dtype(np.float64):
-            model = SequentialRecommender(tiny_config(), seed=3)
+            model = SequentialRecommender(tiny_config(n_layers=2), seed=3)
             items, ctxs = random_sequence(rng, model.config, t=4)
             plain = model.forward_scores(items, ctxs).data
             padded_items = np.concatenate([items, [PAD_ITEM]])
             padded_ctxs = np.concatenate([ctxs, [0]])
             padded = model.forward_scores(padded_items, padded_ctxs).data
-        # readout ignores the trailing pad; attention masking keeps rows close
-        assert int(np.argmax(plain)) == int(np.argmax(padded))
+        # a trailing pad is masked out of attention and enters every layer
+        # as a zero row, like the conv's own zero padding
+        np.testing.assert_allclose(padded, plain, rtol=0, atol=1e-12)
+
+    def test_default_dtype_stays_float32(self):
+        model = SequentialRecommender(tiny_config(), seed=3)
+        items, ctxs = random_sequence(np.random.default_rng(3), model.config)
+        result = model.forward(items, ctxs)
+        assert result["hidden"].data.dtype == np.float32
+        assert result["logits"].data.dtype == np.float32
+
+    def test_scores_record_no_graph(self):
+        model = SequentialRecommender(tiny_config(), seed=3)
+        items, ctxs = random_sequence(np.random.default_rng(3), model.config)
+        probs = model.forward_scores(items, ctxs)
+        assert not probs.requires_grad and probs._parents == ()
+
+    def test_batch_rows_match_single_sequences(self):
+        from twinrec.embedding import PAD_ITEM
+        rng = np.random.default_rng(4)
+        with use_dtype(np.float64):
+            model = SequentialRecommender(tiny_config(n_layers=2), seed=4)
+            windows = [random_sequence(rng, model.config, t=t) for t in (3, 7, 1)]
+            items = np.full((3, 7), PAD_ITEM)
+            ctxs = np.zeros((3, 7), dtype=np.int64)
+            for row, (it, cx) in enumerate(windows):
+                items[row, :len(it)] = it
+                ctxs[row, :len(cx)] = cx
+            batched = model.forward(items, ctxs)["logits"].data
+            single = [model.forward(it, cx)["logits"].data[0] for it, cx in windows]
+        assert batched.shape == (3, 12)
+        np.testing.assert_allclose(batched, np.stack(single), rtol=0, atol=1e-12)
 
 
 class TestLoss:
@@ -115,6 +146,64 @@ class TestLoss:
         loss.backward()
         missing = [name for name, p in model.params.items() if p.grad is None]
         assert missing == []
+
+
+def batch_of_every_length(rng, cfg):
+    """One window of each length 1..max_len, each with its own target."""
+    return [(*random_sequence(rng, cfg, t=t), int(rng.integers(0, cfg.vocab_size)))
+            for t in range(1, cfg.max_len + 1)]
+
+
+def graph_size(loss):
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+class TestBatchedLoss:
+    def test_equals_mean_of_single_window_losses(self):
+        rng = np.random.default_rng(20)
+        with use_dtype(np.float64):
+            model = SequentialRecommender(tiny_config(n_layers=2), seed=20)
+            batch = batch_of_every_length(rng, model.config)
+            batched = model.training_loss(batch, lam=0.0).item()
+            singles = [model.training_loss([sample], lam=0.0).item() for sample in batch]
+        assert batched == pytest.approx(np.mean(singles), rel=0, abs=1e-10)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(21)
+        with use_dtype(np.float64):
+            model = SequentialRecommender(tiny_config(n_layers=2), seed=21)
+            batch = batch_of_every_length(rng, model.config)
+            errors = finite_diff_check(lambda: model.training_loss(batch, 1e-2),
+                                       model.params, eps=1e-5, n_samples=3, seed=0)
+        assert set(errors) == set(model.params)
+        assert max(errors.values()) < 1e-3
+
+    def test_graph_size_independent_of_batch_size(self):
+        rng = np.random.default_rng(22)
+        model = SequentialRecommender(tiny_config(n_layers=2), seed=22)
+        batch = batch_of_every_length(rng, model.config)
+        sizes = {graph_size(model.training_loss(batch[:n], lam=1e-5)) for n in (1, 4, 10)}
+        assert len(sizes) == 1
+
+    def test_graph_freed_without_cycle_collector(self):
+        rng = np.random.default_rng(23)
+        model = SequentialRecommender(tiny_config(n_layers=2), seed=23)
+        batch = batch_of_every_length(rng, model.config)
+        gc.collect()
+        gc.disable()
+        try:
+            loss = model.training_loss(batch, lam=1e-5)
+            loss.backward()
+            del loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestTopK:

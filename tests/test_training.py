@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from twinrec.autodiff import Tensor
-from twinrec.data import UserSequence, build_context_vocab, generate_training_samples
+from twinrec.data import (UserSequence, build_context_vocab, eval_input,
+                          generate_training_samples)
 from twinrec.model import ModelConfig, SequentialRecommender
 from twinrec.training import (Adam, TrainConfig, evaluate, export_attention,
                               rank_of, ranking_metrics, train)
@@ -82,6 +83,21 @@ class TestMetrics:
         assert rank_of(scores, 1) == 1
         assert rank_of(scores, 0) == 2  # ties broken toward lower index
         assert rank_of(scores, 2) == 3
+
+    def test_rank_of_nan_ranks_last(self):
+        nan = float("nan")
+        assert rank_of(np.array([0.5, nan, 0.9, 0.1]), 1) == 4
+        hr, ndcg = ranking_metrics([rank_of(np.full(5, nan), 3)], ks=(1,))
+        assert hr[1] == 0.0 and ndcg[1] == 0.0
+
+    def test_rank_of_matches_lexsort_with_nans(self):
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            scores = rng.integers(0, 4, size=12).astype(np.float64)
+            scores[rng.random(12) < 0.3] = np.nan
+            order = np.lexsort((np.arange(12), -scores))
+            for target in range(12):
+                assert rank_of(scores, target) == int(np.flatnonzero(order == target)[0]) + 1
 
     def test_matches_bruteforce_on_random_matrices(self):
         rng = np.random.default_rng(0)
@@ -191,6 +207,17 @@ class TestEvaluate:
         doc = report.to_json_dict("abc")
         assert doc["config_hash"] == "abc"
         assert doc["params_total"] == model.count_parameters()["total"]
+
+
+    def test_all_nan_model_ranks_targets_last(self):
+        # every score NaN: a target ranks after the NaNs of lower index, as in
+        # a stable numpy sort, so only item 0 can reach rank 1
+        model, _, seqs, ctx_vocab = tiny_setup()
+        model.params["out.b"].data[:] = np.nan
+        report = evaluate(model, seqs, ctx_vocab, "test", ks=(1,))
+        targets = [eval_input(s, ctx_vocab, model.config.max_len, "test")[2] for s in seqs]
+        assert report.ranks == [t + 1 for t in targets]
+        assert report.hr[1] == np.mean([t == 0 for t in targets]) < 1.0
 
 
 class TestExportAttention:
