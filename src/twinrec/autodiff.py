@@ -278,15 +278,6 @@ def concat(tensors, axis=0):
     return out
 
 
-def activation(kind, x):
-    """Elementwise SiLU or GeLU by name."""
-    if kind == "silu":
-        return x.silu()
-    if kind == "gelu":
-        return x.gelu()
-    raise ValueError(f"unknown activation {kind!r}")
-
-
 def zero_grads(params):
     for p in params.values() if isinstance(params, dict) else params:
         p.grad = None

@@ -9,6 +9,7 @@ output artifact for provenance.
 from __future__ import annotations
 
 import hashlib
+import math
 
 from .model import VARIANTS
 
@@ -86,8 +87,9 @@ def validate(cfg):
             raise ConfigError(f"config key {key!r} must be positive, got {cfg[key]}")
     if cfg["kernel_size"] % 2 == 0:
         raise ConfigError("kernel_size must be odd")
-    if cfg["lr"] <= 0 or cfg["l2"] < 0 or cfg["epochs"] < 0:
-        raise ConfigError("lr must be positive; l2 and epochs non-negative")
+    if not 0 < cfg["lr"] < math.inf or not 0 <= cfg["l2"] < math.inf or cfg["epochs"] < 0:
+        raise ConfigError(f"lr must be positive and finite (got {cfg['lr']}), l2 finite and "
+                          f"non-negative (got {cfg['l2']}), epochs non-negative")
 
 
 def config_hash(cfg):

@@ -1,10 +1,12 @@
-"""Interaction-log ingestion, 5-core filtering and leave-one-out splits.
+"""Interaction-log ingestion, 5-core filtering, leave-one-out splits and windows.
 
 Input is a UTF-8 tab-separated log with columns ``user item category
 timestamp`` (unix seconds), optional header. Users and items with fewer
-than five interactions are discarded iteratively until a fixed point, each
-user's interactions are sorted chronologically (stable on file order for
-ties), and the last two items per user are held out for test/validation.
+than five interactions are discarded iteratively until a fixed point, one
+stable sort orders each user's interactions chronologically (file order
+breaks ties), and the last two items per user are held out. A window is a
+slice of a user's history whose first position has PAD_CATEGORY as its
+previous category.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def ingest(path):
             except ValueError:
                 bad.append((lineno, line))
                 continue
-            if timestamp < 0:
+            if not 0 <= timestamp < 2**63:  # sorted as int64
                 bad.append((lineno, line))
                 continue
             interactions.append(Interaction(user, item, category, timestamp))
@@ -126,50 +128,52 @@ def ingest(path):
     return interactions, len(bad)
 
 
+def _codes(values):
+    """Dense int codes, numbered by first appearance."""
+    index = {}
+    return np.array([index.setdefault(v, len(index)) for v in values], dtype=np.int64)
+
+
 def _five_core(interactions):
-    """Iteratively drop items then users with < MIN_INTERACTIONS, to a fixed point."""
-    rows = list(interactions)
+    """Iteratively drop items then users with < MIN_INTERACTIONS, to a fixed point.
+
+    Returns the kept rows in file order and their users' codes.
+    """
+    users = _codes(r.user for r in interactions)
+    items = _codes(r.item for r in interactions)
+    keep = np.ones(len(interactions), dtype=bool)
     while True:
-        item_counts = {}
-        for r in rows:
-            item_counts[r.item] = item_counts.get(r.item, 0) + 1
-        kept = [r for r in rows if item_counts[r.item] >= MIN_INTERACTIONS]
-        user_counts = {}
-        for r in kept:
-            user_counts[r.user] = user_counts.get(r.user, 0) + 1
-        kept = [r for r in kept if user_counts[r.user] >= MIN_INTERACTIONS]
-        if len(kept) == len(rows):
-            return kept
-        rows = kept
+        n_kept = np.count_nonzero(keep)
+        for codes in (items, users):
+            keep &= np.bincount(codes[keep], minlength=len(codes))[codes] >= MIN_INTERACTIONS
+        if np.count_nonzero(keep) == n_kept:
+            kept = np.flatnonzero(keep)
+            return [interactions[i] for i in kept.tolist()], users[kept]
 
 
 def build_sequences(interactions):
     """5-core filter, per-user chronological ordering, vocab assignment.
 
-    Returns (ItemVocab, list of UserSequence). Timestamp ties preserve file
-    order; item/category indices follow first appearance in the filtered,
-    ordered stream.
+    Returns (ItemVocab, list of UserSequence). Users and, within a user,
+    timestamp ties keep file order; item/category indices follow first
+    appearance in the filtered, ordered stream.
     """
     if not interactions:
         raise ValueError("no interactions to process")
-    rows = _five_core(interactions)
+    rows, users = _five_core(interactions)
     if not rows:
         raise ValueError("all interactions removed by 5-core filtering")
-    by_user = {}
-    for pos, r in enumerate(rows):
-        by_user.setdefault(r.user, []).append((r.timestamp, pos, r))
+    ts = np.array([r.timestamp for r in rows], dtype=np.int64)
+    _, first, user_of_row = np.unique(users, return_index=True, return_inverse=True)
+    order = np.lexsort((ts, first[user_of_row]))  # stable: ties keep file order
     vocab = ItemVocab()
-    sequences = []
-    for user in by_user:  # insertion order = first appearance in file
-        ordered = sorted(by_user[user], key=lambda t: (t[0], t[1]))
-        items, cats, hours = [], [], []
-        for ts, _, r in ordered:
-            idx = vocab.add(r.item, r.category)
-            items.append(idx)
-            cats.append(vocab.item_category[idx])
-            hours.append((ts // 3600) % 24)
-        sequences.append(UserSequence(user, items, cats, hours))
-    return vocab, sequences
+    items = [vocab.add(rows[i].item, rows[i].category) for i in order.tolist()]
+    cats = np.array(vocab.item_category)[items].tolist()
+    hours = (ts[order] // 3600 % 24).tolist()
+    grouped = user_of_row[order]
+    bounds = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), len(rows)]
+    return vocab, [UserSequence(rows[order[lo]].user, items[lo:hi], cats[lo:hi], hours[lo:hi])
+                   for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def split_leave_one_out(seq):
@@ -183,48 +187,56 @@ def split_leave_one_out(seq):
     return len(seq) - 2, len(seq) - 2, len(seq) - 1
 
 
-def window_contexts(cats, hours):
-    """Context triplets for a window; position 0 uses the PAD previous-category."""
-    out = []
-    prev = PAD_CATEGORY
-    for cat, hour in zip(cats, hours):
-        out.append((prev, cat, hour))
-        prev = cat
-    return out
+def _contexts(seq, lo, hi):
+    """(PAD-previous, true-previous) context triplets of positions lo..hi-1.
+
+    A window's first position sees PAD_CATEGORY as its previous category;
+    position 0 has no other, so its two variants are equal.
+    """
+    cats, hours = seq.cats[lo:hi], seq.hours[lo:hi]
+    prev = seq.cats[lo - 1:hi - 1] if lo else [PAD_CATEGORY, *cats[:-1]]
+    return (list(zip([PAD_CATEGORY] * len(cats), cats, hours)),
+            list(zip(prev, cats, hours)))
 
 
 def build_context_vocab(sequences):
     """Register every triplet a training window can produce.
 
-    For each training position both the true-previous-category triplet and
-    the PAD-previous variant (used when a window starts there) are added.
+    For each training position the PAD-previous variant (used when a window
+    starts there) and then the true-previous triplet are added.
     """
     vocab = ContextVocab()
     for seq in sequences:
         split = split_leave_one_out(seq)
-        if split is None:
-            continue
-        train_len = split[0]
-        for i in range(train_len):
-            vocab.add((PAD_CATEGORY, seq.cats[i], seq.hours[i]))
-            if i > 0:
-                vocab.add((seq.cats[i - 1], seq.cats[i], seq.hours[i]))
+        for pad, true in zip(*_contexts(seq, 0, split[0] if split else 0)):
+            vocab.add(pad)
+            vocab.add(true)
     return vocab
+
+
+def _windows(seq, ctx_vocab, max_len, ends):
+    """(items, contexts, target) for the window before each position in range ``ends``.
+
+    Converts only the span the windows cover and looks up each position's
+    context once; a window's first position takes its PAD-previous context.
+    """
+    lo, hi = max(0, ends.start - max_len), ends.stop - 1
+    items = np.array(seq.items[lo:hi], dtype=np.int64)
+    pad, true = _contexts(seq, lo, hi)
+    true = np.fromiter(map(ctx_vocab.lookup, true), dtype=np.int64, count=len(true))
+    out = []
+    for end in ends:
+        start = max(0, end - max_len) - lo
+        ctxs = true[start:end - lo].copy()
+        ctxs[0] = ctx_vocab.lookup(pad[start])
+        out.append((items[start:end - lo].copy(), ctxs, seq.items[end]))
+    return out
 
 
 def generate_training_samples(seq, ctx_vocab, max_len):
     """One sample per prefix: input v_1..v_t (last max_len), target v_{t+1}."""
     split = split_leave_one_out(seq)
-    if split is None:
-        return []
-    train_len = split[0]
-    samples = []
-    for t in range(1, train_len):
-        lo = max(0, t - max_len)
-        items = np.array(seq.items[lo:t], dtype=np.int64)
-        ctxs = ctx_vocab.lookup_many(window_contexts(seq.cats[lo:t], seq.hours[lo:t]))
-        samples.append((items, ctxs, seq.items[t]))
-    return samples
+    return _windows(seq, ctx_vocab, max_len, range(1, split[0])) if split else []
 
 
 def eval_input(seq, ctx_vocab, max_len, split):
@@ -232,12 +244,8 @@ def eval_input(seq, ctx_vocab, max_len, split):
     marks = split_leave_one_out(seq)
     if marks is None:
         return None
-    _, val_pos, test_pos = marks
-    end = val_pos if split == "val" else test_pos
-    lo = max(0, end - max_len)
-    items = np.array(seq.items[lo:end], dtype=np.int64)
-    ctxs = ctx_vocab.lookup_many(window_contexts(seq.cats[lo:end], seq.hours[lo:end]))
-    return items, ctxs, seq.items[end]
+    end = marks[1] if split == "val" else marks[2]
+    return _windows(seq, ctx_vocab, max_len, range(end, end + 1))[0]
 
 
 def dataset_stats(vocab, sequences):

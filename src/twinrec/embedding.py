@@ -85,10 +85,8 @@ class ContextVocab:
         return self.index[key]
 
     def lookup(self, triplet):
-        return self.index.get((int(triplet[0]), int(triplet[1]), int(triplet[2])), UNK_CONTEXT)
-
-    def lookup_many(self, triplets):
-        return np.array([self.lookup(t) for t in triplets], dtype=np.int64)
+        # Integer scalars of any type hash and compare as the stored ints do.
+        return self.index.get(tuple(triplet), UNK_CONTEXT)
 
     @property
     def size(self):

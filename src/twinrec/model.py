@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import zlib
 from dataclasses import dataclass, field, asdict
 
@@ -234,10 +235,11 @@ class SequentialRecommender:
                   "config": asdict(self.config),
                   "seed": self.seed,
                   "tensors": manifest}
-        with open(path, "wb") as f:
+        with open(f"{path}.tmp", "wb") as f:
             f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
             f.write(b"\n")
             f.write(payload.getvalue())
+        os.replace(f"{path}.tmp", path)
 
     @classmethod
     def load(cls, path):
@@ -247,12 +249,30 @@ class SequentialRecommender:
                 raise ValueError(f"{path}: not a checkpoint file")
             payload = f.read()
         model = cls(ModelConfig(**header["config"]), seed=header["seed"])
+        loaded, total = set(), 0
         for entry in header["tensors"]:
+            name, shape = entry["name"], tuple(entry["shape"])
+            if name not in model.params or name in loaded:
+                raise ValueError(f"{path}: unknown or repeated tensor {name!r}")
+            if shape != model.params[name].data.shape:
+                raise ValueError(f"{path}: tensor {name!r} has shape {shape}, "
+                                 f"the model expects {model.params[name].data.shape}")
             dtype = np.dtype(entry["dtype"])
-            count = math.prod(entry["shape"]) if entry["shape"] else 1
+            count = math.prod(shape)
+            total += count * dtype.itemsize
+            if not 0 <= entry["offset"] <= len(payload) - count * dtype.itemsize:
+                raise ValueError(f"{path}: tensor {name!r} lies outside the "
+                                 f"{len(payload)}-byte payload")
             arr = np.frombuffer(payload, dtype=dtype, count=count,
-                                offset=entry["offset"]).reshape(entry["shape"])
-            model.params[entry["name"]].data = arr.astype(autodiff.current_dtype())
+                                offset=entry["offset"]).reshape(shape)
+            model.params[name].data = arr.astype(autodiff.current_dtype())
+            loaded.add(name)
+        missing = [name for name in model.params if name not in loaded]
+        if missing:
+            raise ValueError(f"{path}: tensors missing from the checkpoint: {missing}")
+        if total != len(payload):
+            raise ValueError(f"{path}: payload is {len(payload)} bytes, "
+                             f"the manifest describes {total}")
         return model
 
     def state_snapshot(self):

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data as datamod
+from .autodiff import no_grad, zero_grads
 
 
 @dataclass
@@ -23,8 +24,11 @@ class TrainConfig:
     patience: int = 10  # early stop on validation nDCG@10
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.lr <= 0 or self.epochs < 0 or self.patience < 1:
-            raise ValueError("batch size, learning rate and patience must be positive")
+        if self.batch_size < 1 or self.epochs < 0 or self.patience < 1:
+            raise ValueError("batch size and patience must be positive, epochs non-negative")
+        if not 0 < self.lr < math.inf or not 0 <= self.l2 < math.inf:
+            raise ValueError(f"learning rate must be positive and finite (got {self.lr}), "
+                             f"l2 finite and non-negative (got {self.l2})")
 
 
 class Adam:
@@ -69,6 +73,8 @@ def rank_of(scores, target):
 
 def ranking_metrics(ranks, ks=(5, 10, 20)):
     """HR@K and nDCG@K averaged over users, single relevant item per user."""
+    if len(ranks) == 0:
+        raise ValueError("no users to evaluate")
     ranks = np.asarray(ranks, dtype=np.int64)
     hr = {k: float(np.mean(ranks <= k)) for k in ks}
     ndcg = {k: float(np.mean(np.where(ranks <= k, 1.0 / np.log2(ranks + 1), 0.0)))
@@ -150,8 +156,7 @@ def train(model, samples, config, val_sequences=None, ctx_vocab=None,
         n_batches = 0
         for lo in range(0, len(order), config.batch_size):
             batch = [samples[i] for i in order[lo:lo + config.batch_size]]
-            for p in model.params.values():
-                p.grad = None
+            zero_grads(model.params)
             loss = model.training_loss(batch, config.l2)
             value = loss.item()
             if not math.isfinite(value):
@@ -196,7 +201,8 @@ def export_attention(model, items, ctx_indices, last_k=10):
     to one. Heads come from the final encoder layer; the convolution branch
     has no weights to export. Keys: ``head0..head{H-1}`` and ``mean``.
     """
-    result = model.forward(items, ctx_indices)
+    with no_grad():
+        result = model.forward(items, ctx_indices)
     weights = result["attention"][-1]
     t = weights[0].data.shape[0]
     keep = min(t, last_k)

@@ -5,23 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinrec.autodiff import (NumericDomainError, Tensor, activation, concat,
-                              finite_diff_check, no_grad, use_dtype)
+from twinrec.autodiff import (NumericDomainError, Tensor, concat, finite_diff_check,
+                              no_grad, use_dtype)
 
 
 def test_silu_at_zero():
-    assert activation("silu", Tensor([0.0])).data[0] == 0.0
+    assert Tensor([0.0]).silu().data[0] == 0.0
 
 
 def test_gelu_at_zero():
-    assert activation("gelu", Tensor([0.0])).data[0] == 0.0
+    assert Tensor([0.0]).gelu().data[0] == 0.0
 
 
 def test_silu_at_one():
     # 64-bit oracle: 1 * 1/(1+e^-1)
     with use_dtype(np.float64):
         expected = 1.0 / (1.0 + math.exp(-1.0))
-        got = activation("silu", Tensor([1.0])).data[0]
+        got = Tensor([1.0]).silu().data[0]
     assert got == pytest.approx(expected, abs=1e-12)
     assert got == pytest.approx(0.731059, abs=1e-6)
 
@@ -30,7 +30,7 @@ def test_gelu_at_one():
     # erf oracle: 1 * Phi(1)
     with use_dtype(np.float64):
         expected = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
-        got = activation("gelu", Tensor([1.0])).data[0]
+        got = Tensor([1.0]).gelu().data[0]
     assert got == pytest.approx(expected, abs=1e-12)
     assert got == pytest.approx(0.841345, abs=1e-6)
 
@@ -40,11 +40,6 @@ def test_activation_rejects_nonfinite():
         Tensor([np.inf, 1.0]).silu()
     with pytest.raises(NumericDomainError):
         Tensor([np.nan]).gelu()
-
-
-def test_activation_unknown_kind():
-    with pytest.raises(ValueError):
-        activation("relu", Tensor([1.0]))
 
 
 class TestSoftmax:

@@ -63,6 +63,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, ["kernel_size=4"])
 
+    @pytest.mark.parametrize("override", ["lr=nan", "lr=inf", "lr=-inf", "l2=nan", "l2=inf"])
+    def test_nonfinite_rate_rejected(self, override):
+        with pytest.raises(ConfigError):
+            load_config(None, [override])
+
     def test_hash_stable_and_sensitive(self):
         a = config_hash(load_config())
         b = config_hash(load_config())
@@ -85,6 +90,11 @@ class TestDispatch:
     def test_bad_override_reported(self, capsys):
         assert main(["count-params", "--set", "dim"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_nonfinite_lr_reported(self, capsys):
+        assert main(["count-params", "--set", "vocab_size=20", "--set", "lr=nan"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lr" in err
 
 
 class TestCountParams:
@@ -158,6 +168,18 @@ class TestPipeline:
                           (ws / "metrics_test.json").read_bytes(),
                           (ws / "sequences.json").read_bytes()))
         assert blobs[0] == blobs[1]
+
+    def test_bad_checkpoint_is_one_error_line(self, workspace, capsys):
+        ws, log = workspace
+        args = SMALL + ["--set", "epochs=1", "--set", f"data={log}"]
+        assert main(["prepare-data"] + args) == 0
+        assert main(["train"] + args) == 0
+        ckpt = ws / "checkpoint.bin"
+        ckpt.write_bytes(ckpt.read_bytes()[:-4])
+        capsys.readouterr()
+        assert main(["evaluate"] + args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "out.b" in err[0]
 
     def test_ablate_writes_all_variants(self, workspace, capsys):
         ws, log = workspace

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinrec.data import (IngestionError, Interaction, build_context_vocab,
                           build_sequences, dataset_stats, eval_input,
                           generate_training_samples, ingest, load_sequences,
                           save_sequences, split_leave_one_out, ItemVocab,
-                          UserSequence, window_contexts)
-from twinrec.embedding import PAD_CATEGORY
+                          UserSequence)
+from twinrec.embedding import PAD_CATEGORY, UNK_CONTEXT
 
 
 def write_tsv(path, rows):
@@ -25,6 +27,74 @@ def dense_log(n_users=4, n_items=6, reps=2):
                 rows.append((f"u{u}", f"i{i}", f"c{i % 2}", ts))
                 ts += 3600
     return rows
+
+
+def brute_five_core(interactions):
+    """Dict-counting 5-core: drop items, then users, with < 5 rows until stable."""
+    cur = list(interactions)
+    while True:
+        ic = {}
+        for r in cur:
+            ic[r.item] = ic.get(r.item, 0) + 1
+        nxt = [r for r in cur if ic[r.item] >= 5]
+        uc = {}
+        for r in nxt:
+            uc[r.user] = uc.get(r.user, 0) + 1
+        nxt = [r for r in nxt if uc[r.user] >= 5]
+        if len(nxt) == len(cur):
+            return cur
+        cur = nxt
+
+
+def naive_sequences(interactions):
+    """Oracle for build_sequences: per-user lists, sorted with Python's sort."""
+    by_user = {}
+    for pos, r in enumerate(brute_five_core(interactions)):
+        by_user.setdefault(r.user, []).append((r.timestamp, pos, r))
+    item_index, item_cat, cat_index = {}, {}, {}
+    out = []
+    for user, rows in by_user.items():
+        items, cats, hours = [], [], []
+        for ts, _, r in sorted(rows, key=lambda t: (t[0], t[1])):
+            cat_index.setdefault(r.category, len(cat_index) + 1)
+            if r.item not in item_index:
+                item_index[r.item] = len(item_index)
+                item_cat[r.item] = cat_index[r.category]
+            items.append(item_index[r.item])
+            cats.append(item_cat[r.item])
+            hours.append((ts // 3600) % 24)
+        out.append((user, items, cats, hours))
+    return item_index, cat_index, out
+
+
+def naive_window(seq, ctx_vocab, lo, end):
+    """Oracle window: items lo..end-1, contexts with PAD before position lo."""
+    triplets = [(PAD_CATEGORY if i == lo else seq.cats[i - 1], seq.cats[i], seq.hours[i])
+                for i in range(lo, end)]
+    return (np.array(seq.items[lo:end], dtype=np.int64),
+            np.array([ctx_vocab.index.get(t, UNK_CONTEXT) for t in triplets], dtype=np.int64),
+            seq.items[end])
+
+
+def assert_same_window(got, want):
+    for g, w in zip(got[:2], want[:2]):
+        assert g.dtype == np.int64
+        np.testing.assert_array_equal(g, w)
+    assert got[2] == want[2]
+
+
+@st.composite
+def logs(draw):
+    """Shuffled (user, item, category, timestamp) rows: a block of users x items
+    that may survive 5-core, plus noise rows (rare items, short users), with
+    many timestamp ties and items seen under several categories."""
+    stamps = st.sampled_from([0, 60, 3600, 7200, 86399, 90000])
+    n_users, n_items, reps = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    rows = [(u, i, draw(st.integers(0, 2)), draw(stamps))
+            for u in range(n_users) for i in range(n_items) for _ in range(reps)]
+    rows += draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9), st.integers(0, 2), stamps),
+                          max_size=30))
+    return draw(st.permutations(rows))
 
 
 class TestIngest:
@@ -56,6 +126,12 @@ class TestIngest:
         interactions, bad = ingest(path)
         assert bad == 1
         assert len(interactions) == 200
+
+    def test_timestamp_beyond_int64_is_malformed(self, tmp_path):
+        path = tmp_path / "log.tsv"
+        write_tsv(path, [("u", f"i{k}", "c", 10) for k in range(200)] + [("u", "ix", "c", 2**63)])
+        interactions, bad = ingest(path)
+        assert bad == 1 and len(interactions) == 200
 
     def test_too_many_malformed_aborts(self, tmp_path):
         path = tmp_path / "log.tsv"
@@ -91,23 +167,7 @@ class TestBuildSequences:
                  ("u5", "i3", "c0", 5004)]
         inter = [Interaction(*map(str, r[:3]), int(r[3])) for r in rows + extra]
         vocab, seqs = build_sequences(inter)
-
-        def brute(interactions):
-            cur = list(interactions)
-            while True:
-                ic = {}
-                for r in cur:
-                    ic[r.item] = ic.get(r.item, 0) + 1
-                nxt = [r for r in cur if ic[r.item] >= 5]
-                uc = {}
-                for r in nxt:
-                    uc[r.user] = uc.get(r.user, 0) + 1
-                nxt = [r for r in nxt if uc[r.user] >= 5]
-                if len(nxt) == len(cur):
-                    return cur
-                cur = nxt
-
-        survivors = brute(inter)
+        survivors = brute_five_core(inter)
         assert sum(len(s) for s in seqs) == len(survivors)
         assert "rare" not in vocab.item_index
 
@@ -137,6 +197,21 @@ class TestBuildSequences:
         assert v1.item_index == v2.item_index
         assert [(s.user, s.items, s.cats, s.hours) for s in s1] == \
                [(s.user, s.items, s.cats, s.hours) for s in s2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(logs())
+    def test_matches_naive_oracle(self, rows):
+        inter = [Interaction(f"u{u}", f"i{i}", f"c{c}", ts) for u, i, c, ts in rows]
+        item_index, cat_index, want = naive_sequences(inter)
+        if not want:
+            with pytest.raises(ValueError):
+                build_sequences(inter)
+            return
+        vocab, seqs = build_sequences(inter)
+        assert [(s.user, s.items, s.cats, s.hours) for s in seqs] == want
+        assert all(type(v) is int for s in seqs for v in s.items + s.cats + s.hours)
+        assert vocab.item_index == item_index
+        assert vocab.category_index == cat_index
 
     def test_hour_of_day(self):
         rows = dense_log(n_users=1, n_items=5, reps=5)
@@ -192,12 +267,40 @@ class TestSamples:
         assert 7 not in targets and 8 not in targets  # val and test items
 
     def test_context_alignment(self):
-        cats = [1, 2, 1, 2, 1, 2, 1]
-        seq = UserSequence("u", list(range(7)), cats, [3] * 7)
-        ctx = window_contexts(cats, [3] * 7)
-        assert ctx[0] == (PAD_CATEGORY, 1, 3)
-        for i in range(1, 7):
-            assert ctx[i] == (cats[i - 1], cats[i], 3)
+        cats = [1, 2, 1, 2, 1, 2, 1, 2, 1]
+        seq = UserSequence("u", list(range(9)), cats, [3] * 9)
+        vocab = self.make_vocab(seq)
+        triplet = {idx: t for t, idx in vocab.index.items()}
+        for items, ctxs, _ in generate_training_samples(seq, vocab, max_len=3):
+            got = [triplet[c] for c in ctxs.tolist()]
+            lo = items[0]
+            assert got[0] == (PAD_CATEGORY, cats[lo], 3)
+            assert got[1:] == [(cats[i - 1], cats[i], 3) for i in range(lo + 1, lo + len(items))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(logs(), st.integers(1, 6))
+    def test_windows_match_naive_oracle(self, rows, max_len):
+        inter = [Interaction(f"u{u}", f"i{i}", f"c{c}", ts) for u, i, c, ts in rows]
+        if not naive_sequences(inter)[2]:
+            return
+        _, seqs = build_sequences(inter)
+        vocab = build_context_vocab(seqs)
+        assert all(len(seq) >= 5 for seq in seqs)
+        registered = []  # per training position: PAD-previous, then true-previous
+        for seq in seqs:
+            for i in range(len(seq) - 2):
+                registered.append((PAD_CATEGORY, seq.cats[i], seq.hours[i]))
+                registered.append((seq.cats[i - 1] if i else PAD_CATEGORY, seq.cats[i], seq.hours[i]))
+        assert list(vocab.index) == list(dict.fromkeys(registered))
+        for seq in seqs:
+            windows = generate_training_samples(seq, vocab, max_len)
+            ends = range(1, len(seq) - 2)
+            assert len(windows) == len(ends)
+            for got, end in zip(windows, ends):
+                assert_same_window(got, naive_window(seq, vocab, max(0, end - max_len), end))
+            for split, end in (("val", len(seq) - 2), ("test", len(seq) - 1)):
+                got = eval_input(seq, vocab, max_len, split)
+                assert_same_window(got, naive_window(seq, vocab, max(0, end - max_len), end))
 
 
 class TestEvalInput:

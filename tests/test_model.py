@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 
 import numpy as np
@@ -327,6 +328,49 @@ class TestCheckpoint:
         model.save(p1)
         model.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @staticmethod
+    def rewrite(path, edit_header=lambda h: None, cut=0):
+        header, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        edit_header(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload[:len(payload) - cut])
+
+    def saved(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        SequentialRecommender(tiny_config(), seed=18).save(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]  # no temp file left
+        return path
+
+    def test_unknown_tensor_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.rewrite(path, lambda h: h["tensors"][0].update(name="emb.bogus"))
+        with pytest.raises(ValueError, match="emb.bogus"):
+            SequentialRecommender.load(path)
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.rewrite(path, lambda h: h["tensors"].pop(), cut=12 * 4)  # drop out.b and its bytes
+        with pytest.raises(ValueError, match="out.b"):
+            SequentialRecommender.load(path)
+
+    def test_shape_mismatch_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.rewrite(path, lambda h: h["tensors"][-1].update(shape=[3, 4]))
+        with pytest.raises(ValueError, match="out.b"):
+            SequentialRecommender.load(path)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.rewrite(path, cut=1)
+        with pytest.raises(ValueError, match="out.b"):
+            SequentialRecommender.load(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0" * 4)
+        with pytest.raises(ValueError, match="payload"):
+            SequentialRecommender.load(path)
 
     def test_reject_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -23,6 +23,14 @@ def reference_adam(theta, grads, lr=0.1, b1=0.9, b2=0.999, eps=1e-8):
     return theta
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("key,value", [("lr", "nan"), ("lr", "inf"), ("lr", "0"),
+                                           ("l2", "nan"), ("l2", "inf"), ("l2", "-1")])
+    def test_bad_rates_rejected(self, key, value):
+        with pytest.raises(ValueError):
+            TrainConfig(**{key: float(value)})
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         p = Tensor([1.0, 2.0], requires_grad=True)
@@ -77,6 +85,10 @@ class TestMetrics:
     def test_rank_outside_cutoff(self):
         hr, ndcg = ranking_metrics([11], ks=(10,))
         assert hr[10] == 0.0 and ndcg[10] == 0.0
+
+    def test_no_users_is_an_error(self):
+        with pytest.raises(ValueError):
+            ranking_metrics([])
 
     def test_rank_of_tie_break(self):
         scores = np.array([0.5, 0.9, 0.5, 0.1])
@@ -234,6 +246,15 @@ class TestExportAttention:
         for name, matrix in maps.items():
             assert matrix.shape == (5, 5)
             np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-6)
+
+    def test_records_no_graph(self, monkeypatch):
+        model, _, _, _ = tiny_setup()
+        results = []
+        forward = model.forward
+        monkeypatch.setattr(model, "forward", lambda *a: results.append(forward(*a)) or results[-1])
+        export_attention(model, list(range(8)), [0] * 8, last_k=5)
+        logits = results[0]["logits"]
+        assert not logits.requires_grad and logits._parents == ()
 
     def test_matches_slice_of_full_attention(self):
         model, _, seqs, ctx_vocab = tiny_setup()
