@@ -10,6 +10,12 @@ arithmetic with numpy-style broadcasting, matmul and transpose over the last
 two axes (leading batch axes broadcast), concat, numpy indexing (a row
 gather's backward is one scatter-add), masked softmax / log-softmax, SiLU,
 GeLU, sum and reshape. Inside ``no_grad()`` nothing is recorded.
+
+A leaf tensor (``requires_grad`` with no parents, i.e. a parameter) keeps
+its gradient in a buffer that lives across steps: ``zero_grads`` sets
+``grad`` to None, and the next backward copies its first contribution into
+the same buffer and adds later ones in place. A caller that keeps a
+gradient past the next backward copies it.
 """
 
 from __future__ import annotations
@@ -22,6 +28,9 @@ from scipy.special import erf
 
 _DTYPE = np.float32
 _GRAD_ENABLED = True
+# Elements per block for passes that stream over a whole parameter (Adam,
+# the L2 value): a few float32 blocks fit in a core's L2 cache.
+BLOCK = 1 << 15
 
 
 class NumericDomainError(ValueError):
@@ -68,7 +77,7 @@ def _unbroadcast(grad, shape):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_buf")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=_DTYPE)
@@ -76,6 +85,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
+        self._grad_buf = None
 
     # -- graph plumbing -------------------------------------------------
 
@@ -87,13 +97,28 @@ class Tensor:
         out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out._parents = parents if out.requires_grad else ()
         out._backward = None
+        out._grad_buf = None
         return out
 
     def _accum(self, g):
         # ``g`` may be another node's gradient or a read-only broadcast view,
-        # so it is kept as is and never updated in place.
+        # so it is never updated in place. A leaf copies the first ``g`` of a
+        # step into the buffer it keeps across steps and adds later ones in
+        # place, so a (D, |V|) gradient is not allocated and page-faulted in
+        # every step; any other node keeps its first ``g`` as is.
         g = np.asarray(g, dtype=self.data.dtype)
-        self.grad = g if self.grad is None else self.grad + g
+        if self.grad is None and not self._parents:
+            buf = self._grad_buf
+            if buf is None or buf.shape != self.data.shape or buf.dtype != self.data.dtype:
+                buf = self._grad_buf = np.empty(self.data.shape, self.data.dtype)
+            np.copyto(buf, g)
+            self.grad = buf
+        elif self.grad is None:
+            self.grad = g
+        elif self.grad is self._grad_buf:
+            self.grad += g
+        else:
+            self.grad = self.grad + g
 
     @property
     def shape(self):
@@ -197,9 +222,14 @@ class Tensor:
         """Numpy indexing; the backward scatter-adds, so repeated rows accumulate."""
         out = Tensor._result(self.data[key], (self,))
         if out.requires_grad:
+            basic = _is_basic(key)
+
             def bw(g):
                 buf = np.zeros_like(self.data)
-                np.add.at(buf, key, g)
+                if basic:  # a view selects each element at most once
+                    buf[key] += g
+                else:
+                    np.add.at(buf, key, g)
                 self._accum(buf)
             out._backward = bw
         return out
@@ -256,6 +286,13 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def _is_basic(key):
+    """True for a key of slices, ints, Ellipsis and None: numpy's basic indexing."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, (slice, int, np.integer))
+               for k in parts)
 
 
 def as_tensor(x):

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import data as datamod
 from . import training
+from .atomic import atomic_write
 from .autodiff import finite_diff_check, use_dtype
 from .config import ConfigError, config_hash, load_config
 from .embedding import ContextVocab
@@ -79,7 +80,7 @@ def cmd_prepare_data(cfg):
     stats["n_context_tuples"] = ctx_vocab.size
     stats["n_malformed_lines"] = n_bad
     stats["config_hash"] = config_hash(cfg)
-    with open(ws / "dataset_stats.json", "w", encoding="utf-8") as f:
+    with atomic_write(ws / "dataset_stats.json") as f:
         json.dump(stats, f, sort_keys=True, indent=2)
     # the context table can eat into the embedding savings; surface that
     ctx_cost = ctx_vocab.size * cfg["dim"]
@@ -111,7 +112,7 @@ def cmd_train(cfg):
         progress=lambda e, loss, ndcg, s: print(
             f"epoch {e}: loss {loss:.4f} val_ndcg10 {ndcg:.4f} ({s:.1f}s)"))
     model.save(ws / "checkpoint.bin")
-    with open(ws / "train_log.csv", "w", encoding="utf-8") as f:
+    with atomic_write(ws / "train_log.csv") as f:
         f.write(f"# config_hash={config_hash(cfg)}\n")
         f.write("epoch,loss,val_ndcg10,seconds\n")
         for epoch, loss, ndcg, seconds in result.history:
@@ -127,7 +128,7 @@ def cmd_evaluate(cfg, split):
     report = training.evaluate(model, sequences, ctx_vocab, split)
     doc = report.to_json_dict(config_hash(cfg))
     out = ws / f"metrics_{split}.json"
-    with open(out, "w", encoding="utf-8") as f:
+    with atomic_write(out) as f:
         json.dump(doc, f, sort_keys=True, indent=2)
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
@@ -145,7 +146,7 @@ def cmd_ablate(cfg):
         report = training.evaluate(model, sequences, ctx_vocab, "test")
         rows.append((kind, report))
         print(f"{kind}: nDCG@20 {report.ndcg[20]:.4f} HR@20 {report.hr[20]:.4f}")
-    with open(ws / "ablation.csv", "w", encoding="utf-8") as f:
+    with atomic_write(ws / "ablation.csv") as f:
         f.write(f"# config_hash={config_hash(cfg)}\n")
         f.write("variant,hr5,hr10,hr20,ndcg5,ndcg10,ndcg20,params_total\n")
         for kind, r in rows:
@@ -194,7 +195,7 @@ def cmd_export_attention(cfg, user, last_k):
     chash = config_hash(cfg)
     for name, matrix in maps.items():
         suffix = "attention_mean.csv" if name == "mean" else f"attention_{name}.csv"
-        with open(ws / suffix, "w", encoding="utf-8") as f:
+        with atomic_write(ws / suffix) as f:
             f.write(f"# config_hash={chash} user={seq.user}\n")
             for row in matrix:
                 f.write(",".join(f"{x:.6g}" for x in row) + "\n")

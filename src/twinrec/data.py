@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
 from .embedding import ContextVocab, PAD_CATEGORY
 
 MIN_INTERACTIONS = 5
@@ -57,26 +58,38 @@ class ItemVocab:
         return len(self.category_index)
 
     def save(self, path):
+        """One row per item: raw item, index, category index, raw category.
+
+        A category that is no item's category (its items were first seen
+        under another) is not stored.
+        """
         inverse = {v: k for k, v in self.item_index.items()}
-        with open(path, "w", encoding="utf-8") as f:
+        names = {v: k for k, v in self.category_index.items()}
+        with atomic_write(path) as f:
             for idx in range(len(inverse)):
-                f.write(f"{inverse[idx]}\t{idx}\t{self.item_category[idx]}\n")
+                cat = self.item_category[idx]
+                f.write(f"{inverse[idx]}\t{idx}\t{cat}\t{names[cat]}\n")
 
     @classmethod
     def load(cls, path):
         vocab = cls()
-        rows = []
+        rows, categories = [], {}
         with open(path, encoding="utf-8") as f:
-            for line in f:
+            for lineno, line in enumerate(f, start=1):
                 if not line.strip():
                     continue
-                raw, idx, cat = line.rstrip("\n").split("\t")
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) != 4:
+                    raise ValueError(f"{path}: line {lineno} has {len(fields)} fields, "
+                                     f"expected 4; run prepare-data again")
+                raw, idx, cat, name = fields
                 rows.append((raw, int(idx), int(cat)))
+                categories[name] = int(cat)
         rows.sort(key=lambda r: r[1])
         for raw, idx, cat in rows:
             vocab.item_index[raw] = idx
             vocab.item_category.append(cat)
-        vocab.category_index = {f"cat{c}": c for c in sorted(set(r[2] for r in rows))}
+        vocab.category_index = dict(sorted(categories.items(), key=lambda kv: kv[1]))
         return vocab
 
 
@@ -267,7 +280,7 @@ def dataset_stats(vocab, sequences):
 def save_sequences(sequences, path):
     doc = [{"user": s.user, "items": s.items, "cats": s.cats, "hours": s.hours}
            for s in sequences]
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         json.dump(doc, f, sort_keys=True, separators=(",", ":"))
 
 

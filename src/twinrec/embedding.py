@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
 from .autodiff import Tensor, concat
 
 # Item padding sentinel lives outside the quotient-remainder range; real
@@ -94,7 +95,7 @@ class ContextVocab:
         return len(self.index) + 1
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             for (prev, cur, hour), idx in sorted(self.index.items(), key=lambda kv: kv[1]):
                 f.write(f"{prev}\t{cur}\t{hour}\t{idx}\n")
 

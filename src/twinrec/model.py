@@ -13,17 +13,16 @@ swap individual components for ablation:
 
 from __future__ import annotations
 
-import io
 import json
 import math
-import os
 import zlib
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import autodiff
-from .autodiff import Tensor
+from .atomic import atomic_write
+from .autodiff import BLOCK, Tensor
 from . import embedding as emb
 from .encoder import AttnHead, ConvHead, PositionTable, twin_forward
 from .embedding import EmbeddingParams, PAD_ITEM, UNK_CONTEXT
@@ -222,24 +221,24 @@ class SequentialRecommender:
 
     def save(self, path):
         """Write config + manifest + raw little-endian payload."""
-        manifest = []
-        payload = io.BytesIO()
+        manifest, raws, offset = [], [], 0
         for name, p in self.params.items():
             raw = np.ascontiguousarray(p.data, dtype="<f8" if p.data.dtype == np.float64 else "<f4")
             manifest.append({"name": name,
                              "dtype": str(raw.dtype),
                              "shape": list(raw.shape),
-                             "offset": payload.tell()})
-            payload.write(raw.tobytes())
+                             "offset": offset})
+            raws.append(raw)
+            offset += raw.nbytes
         header = {"magic": CHECKPOINT_MAGIC,
                   "config": asdict(self.config),
                   "seed": self.seed,
                   "tensors": manifest}
-        with open(f"{path}.tmp", "wb") as f:
+        with atomic_write(path, binary=True) as f:
             f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
             f.write(b"\n")
-            f.write(payload.getvalue())
-        os.replace(f"{path}.tmp", path)
+            for raw in raws:
+                f.write(raw)
 
     @classmethod
     def load(cls, path):
@@ -284,9 +283,17 @@ class SequentialRecommender:
 
 
 def l2_penalty(params):
-    """Sum of squared values over every trainable tensor, as one graph node."""
+    """Sum of squared values over every trainable tensor, as one graph node.
+
+    The value is summed in float64 over dot products of BLOCK-sized slices,
+    so no squared copy of a tensor is built.
+    """
     tensors = tuple(params.values())
-    total = sum((p.data * p.data).sum() for p in tensors)
+    total = 0.0
+    for p in tensors:
+        flat = p.data.reshape(-1)
+        for lo in range(0, flat.size, BLOCK):
+            total += float(np.vdot(flat[lo:lo + BLOCK], flat[lo:lo + BLOCK]))
     out = Tensor._result(np.asarray(total, dtype=tensors[0].data.dtype), tensors)
     if out.requires_grad:
         def bw(g):

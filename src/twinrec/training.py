@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data as datamod
-from .autodiff import no_grad, zero_grads
+from .autodiff import BLOCK, no_grad, zero_grads
 
 
 @dataclass
@@ -32,14 +32,29 @@ class TrainConfig:
 
 
 class Adam:
-    """Bias-corrected Adam over a named parameter dict."""
+    """Bias-corrected Adam over a named parameter dict, updated in place.
+
+    ``p.data`` and the moments ``m`` and ``v`` are updated in place, BLOCK
+    elements at a time through two block-sized scratch buffers per
+    parameter, so a step allocates no parameter-sized array and each block
+    stays in cache.
+    Each block applies the plain formula's operations in its order,
+
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        p = p - lr*(m/bc1) / (sqrt(v/bc2) + eps),
+
+    so the result is bit-identical to evaluating it on whole arrays.
+    """
 
     def __init__(self, params, config):
         self.params = params
         self.config = config
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.m = {name: np.zeros(p.data.shape, p.data.dtype) for name, p in params.items()}
+        self.v = {name: np.zeros(p.data.shape, p.data.dtype) for name, p in params.items()}
+        self._scratch = {name: (np.empty(min(p.data.size, BLOCK), p.data.dtype),
+                                np.empty(min(p.data.size, BLOCK), p.data.dtype))
+                         for name, p in params.items()}
 
     def step(self):
         cfg = self.config
@@ -47,15 +62,33 @@ class Adam:
         if missing:
             raise RuntimeError(f"parameters without gradients: {missing}")
         self.t += 1
-        bc1 = 1.0 - cfg.beta1 ** self.t
-        bc2 = 1.0 - cfg.beta2 ** self.t
+        b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.lr, cfg.eps
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
-            g = p.grad
-            self.m[name] = cfg.beta1 * self.m[name] + (1.0 - cfg.beta1) * g
-            self.v[name] = cfg.beta2 * self.v[name] + (1.0 - cfg.beta2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            p.data = p.data - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            if not (p.data.flags.c_contiguous and p.data.flags.writeable):
+                p.data = p.data.copy()  # so the flat view below writes through
+            x, g = p.data.reshape(-1), p.grad.reshape(-1)
+            m, v = self.m[name].reshape(-1), self.v[name].reshape(-1)
+            a, b = self._scratch[name]
+            for lo in range(0, x.size, BLOCK):
+                s = slice(lo, lo + BLOCK)
+                xs, gs, ms, vs = x[s], g[s], m[s], v[s]
+                sa, sb = a[:xs.size], b[:xs.size]
+                np.multiply(ms, b1, out=ms)
+                np.multiply(gs, 1.0 - b1, out=sa)
+                np.add(ms, sa, out=ms)
+                np.multiply(vs, b2, out=vs)
+                np.multiply(gs, 1.0 - b2, out=sa)
+                np.multiply(sa, gs, out=sa)
+                np.add(vs, sa, out=vs)
+                np.divide(ms, bc1, out=sa)
+                np.divide(vs, bc2, out=sb)
+                np.multiply(sa, lr, out=sa)
+                np.sqrt(sb, out=sb)
+                np.add(sb, eps, out=sb)
+                np.divide(sa, sb, out=sa)
+                np.subtract(xs, sa, out=xs)
 
 
 def rank_of(scores, target):

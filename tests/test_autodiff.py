@@ -108,6 +108,26 @@ class TestBackward:
         out.sum().backward()
         np.testing.assert_array_equal(table.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
+    def test_slice_and_repeated_gather_gradients(self):
+        # loss = sum(x[1:3] * w) + sum(x[[0, 0, 2]]) + sum(x[..., 1:2]) * 3
+        x = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+        w = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        loss = ((x[1:3] * w).sum() + x[np.array([0, 0, 2])].sum()
+                + x[..., 1:2].sum() * 3.0)
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [[2.0, 2.0 + 3.0],
+                                               [1.0, 2.0 + 3.0],
+                                               [3.0 + 1.0, 4.0 + 1.0 + 3.0],
+                                               [0.0, 3.0]])
+
+    def test_leaf_accumulates_after_read_only_first_gradient(self):
+        # ``sum``'s backward hands its input a read-only broadcast view.
+        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        (x.sum() + (x * x).sum()).backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 5.0, 7.0])
+        x.sum().backward()  # no zero_grads: gradients add up
+        np.testing.assert_array_equal(x.grad, [4.0, 6.0, 8.0])
+
 
 def _random_composite(rng):
     """A small graph exercising every primitive the model uses."""

@@ -332,6 +332,32 @@ class TestArtifacts:
         loaded = ItemVocab.load(path)
         assert loaded.item_index == vocab.item_index
         assert loaded.item_category == vocab.item_category
+        assert loaded.category_index == vocab.category_index
+
+    def test_item_vocab_keeps_category_names(self, tmp_path):
+        vocab = ItemVocab()
+        vocab.add("a", "books")
+        vocab.save(tmp_path / "items.tsv")
+        assert ItemVocab.load(tmp_path / "items.tsv").category_index == {"books": 1}
+
+    def test_item_vocab_without_category_names_rejected(self, tmp_path):
+        path = tmp_path / "items.tsv"
+        path.write_text("a\t0\t1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 1"):
+            ItemVocab.load(path)
+
+    def test_failed_save_keeps_old_file(self, tmp_path):
+        path = tmp_path / "sequences.json"
+        good = [UserSequence("u0", [0, 1, 2], [1, 1, 1], [0, 0, 0])]
+        save_sequences(good, path)
+        before = path.read_bytes()
+        # The second user's items cannot be encoded, so JSON output stops
+        # partway through the file.
+        bad = good + [UserSequence("u1", [object()], [1], [0])]
+        with pytest.raises(TypeError):
+            save_sequences(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["sequences.json"]
 
     def test_stats(self):
         rows = dense_log(n_users=6, n_items=6, reps=1)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from twinrec.autodiff import Tensor, finite_diff_check, use_dtype
+from twinrec.autodiff import Tensor, finite_diff_check, use_dtype, zero_grads
 from twinrec.model import (ModelConfig, SequentialRecommender, build_variant,
                            l2_penalty)
 
@@ -132,6 +132,27 @@ class TestLoss:
         # lam=1, single parameter psi=2, zero cross-entropy term -> 4
         params = {"psi": Tensor([2.0], requires_grad=True)}
         assert l2_penalty(params).item() == pytest.approx(4.0)
+
+    def test_l2_value_matches_float64_sum(self):
+        # An output layer at |V| = 100k: one float32 dot product over all of
+        # it is off by about 1e-5.
+        rng = np.random.default_rng(8)
+        params = {"w": Tensor(rng.uniform(-0.125, 0.125, (64, 100_000)), requires_grad=True),
+                  "b": Tensor(rng.uniform(-1.0, 1.0, 7), requires_grad=True)}
+        expect = sum(float(np.sum(p.data.astype(np.float64) ** 2)) for p in params.values())
+        assert l2_penalty(params).item() == pytest.approx(expect, rel=1e-6)
+
+    def test_gradients_do_not_leak_between_steps(self):
+        rng = np.random.default_rng(9)
+        first, second = (batch_of_every_length(rng, tiny_config()) for _ in range(2))
+        used = SequentialRecommender(tiny_config(), seed=9)
+        used.training_loss(first, 1e-3).backward()
+        zero_grads(used.params)
+        used.training_loss(second, 1e-3).backward()
+        fresh = SequentialRecommender(tiny_config(), seed=9)
+        fresh.training_loss(second, 1e-3).backward()
+        for name, p in used.params.items():
+            np.testing.assert_array_equal(p.grad, fresh.params[name].grad, err_msg=name)
 
     def test_invalid_target(self):
         model = SequentialRecommender(tiny_config(), seed=6)

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from twinrec.autodiff import Tensor
+from twinrec.autodiff import BLOCK, Tensor, use_dtype
 from twinrec.data import (UserSequence, build_context_vocab, eval_input,
                           generate_training_samples)
 from twinrec.model import ModelConfig, SequentialRecommender
@@ -69,6 +70,45 @@ class TestAdam:
         b.grad = np.array([0.3], dtype=b.data.dtype)
         opt.step()
         assert a.data[0] == b.data[0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_update_is_bit_identical_to_plain_formula(self, dtype):
+        # More than two blocks, the last one partial.
+        rng = np.random.default_rng(4)
+        with use_dtype(dtype):
+            p = Tensor(rng.standard_normal((3, BLOCK - 5)), requires_grad=True)
+        cfg = TrainConfig(lr=0.01, epochs=1)
+        opt = Adam({"p": p}, cfg)
+        theta, m, v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)
+        for t in range(1, 6):
+            g = rng.standard_normal(p.data.shape).astype(dtype)
+            p.grad = g
+            opt.step()
+            # The plain whole-array update, as the oracle.
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+            m_hat = m / (1.0 - cfg.beta1 ** t)
+            v_hat = v / (1.0 - cfg.beta2 ** t)
+            theta = theta - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        assert p.data.dtype == theta.dtype == dtype
+        np.testing.assert_array_equal(p.data, theta)
+        np.testing.assert_array_equal(opt.m["p"], m)
+        np.testing.assert_array_equal(opt.v["p"], v)
+
+    def test_step_allocates_no_parameter_sized_array(self):
+        # A (64, 100000) float32 tensor is 25.6 MB; a step that builds
+        # whole-array temporaries peaks at several times that.
+        p = Tensor(np.zeros((64, 100_000)), requires_grad=True)
+        p.grad = np.full(p.data.shape, 0.5, dtype=p.data.dtype)
+        opt = Adam({"p": p}, TrainConfig(epochs=1))
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.all(p.data < 0)
 
 
 class TestMetrics:
