@@ -69,8 +69,12 @@ def _all_samples(sequences, ctx_vocab, max_len):
 def cmd_prepare_data(cfg):
     if not cfg["data"]:
         raise ConfigError("prepare-data requires the 'data' config key")
-    interactions, n_bad = ingest_report(cfg["data"])
-    vocab, sequences = datamod.build_sequences(interactions)
+    log, n_bad = datamod.ingest(cfg["data"])
+    if not len(log):
+        print(f"warning: {cfg['data']} contains no interactions", file=sys.stderr)
+    if n_bad:
+        print(f"warning: skipped {n_bad} malformed lines in {cfg['data']}", file=sys.stderr)
+    vocab, sequences = datamod.build_sequences(log)
     ctx_vocab = datamod.build_context_vocab(sequences)
     ws = _workspace(cfg)
     datamod.save_sequences(sequences, ws / "sequences.json")
@@ -90,15 +94,6 @@ def cmd_prepare_data(cfg):
               f"embedding savings ({saved} values)", file=sys.stderr)
     print(json.dumps(stats, sort_keys=True, indent=2))
     return 0
-
-
-def ingest_report(path):
-    interactions, n_bad = datamod.ingest(path)
-    if not interactions:
-        print(f"warning: {path} contains no interactions", file=sys.stderr)
-    if n_bad:
-        print(f"warning: skipped {n_bad} malformed lines in {path}", file=sys.stderr)
-    return interactions, n_bad
 
 
 def cmd_train(cfg):
@@ -278,7 +273,7 @@ def main(argv=None):
             return cmd_gradcheck(cfg)
         parser.print_usage(sys.stderr)
         return 2
-    except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as e:
+    except (ConfigError, OSError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -1,12 +1,13 @@
 """Interaction-log ingestion, 5-core filtering, leave-one-out splits and windows.
 
 Input is a UTF-8 tab-separated log with columns ``user item category
-timestamp`` (unix seconds), optional header. Users and items with fewer
-than five interactions are discarded iteratively until a fixed point, one
-stable sort orders each user's interactions chronologically (file order
-breaks ties), and the last two items per user are held out. A window is a
-slice of a user's history whose first position has PAD_CATEGORY as its
-previous category.
+timestamp`` (unix seconds), optional header. The parser numbers each
+column's ids once; every later step works on integer arrays. Users and
+items with fewer than five interactions are discarded iteratively until a
+fixed point, one stable sort orders each user's interactions
+chronologically (file order breaks ties), and the last two items per user
+are held out. A window is a slice of a user's history whose first
+position has PAD_CATEGORY as its previous category.
 """
 
 from __future__ import annotations
@@ -27,11 +28,14 @@ class IngestionError(ValueError):
 
 
 @dataclass
-class Interaction:
-    user: str
-    item: str
-    category: str
-    timestamp: int
+class Log:
+    """A parsed log as integer columns; each column numbers its ids by first appearance."""
+    codes: np.ndarray       # (n, 3) int64: user, item and category code per row
+    names: tuple            # three lists: code -> raw id
+    timestamps: np.ndarray  # (n,) int64 unix seconds
+
+    def __len__(self):
+        return len(self.timestamps)
 
 
 @dataclass
@@ -40,14 +44,6 @@ class ItemVocab:
     item_index: dict = field(default_factory=dict)      # raw item -> 0-based global index
     category_index: dict = field(default_factory=dict)  # raw category -> 1-based index
     item_category: list = field(default_factory=list)   # global index -> category index
-
-    def add(self, item, category):
-        if category not in self.category_index:
-            self.category_index[category] = len(self.category_index) + 1  # 0 = PAD
-        if item not in self.item_index:
-            self.item_index[item] = len(self.item_index)
-            self.item_category.append(self.category_index[category])
-        return self.item_index[item]
 
     @property
     def n_items(self):
@@ -105,12 +101,13 @@ class UserSequence:
 
 
 def ingest(path):
-    """Parse the interaction log; returns (interactions, n_malformed).
+    """Parse the interaction log; returns (Log, n_malformed).
 
     Malformed lines are counted and skipped; more than 1% malformed lines
     aborts with samples of the offenders.
     """
-    interactions = []
+    users, items, cats = index = ({}, {}, {})
+    codes, stamps = [], []
     bad = []
     n_lines = 0
     with open(path, encoding="utf-8") as f:
@@ -134,59 +131,65 @@ def ingest(path):
             if not 0 <= timestamp < 2**63:  # sorted as int64
                 bad.append((lineno, line))
                 continue
-            interactions.append(Interaction(user, item, category, timestamp))
+            codes += (users.setdefault(user, len(users)), items.setdefault(item, len(items)),
+                      cats.setdefault(category, len(cats)))
+            stamps.append(timestamp)
     if n_lines and len(bad) / n_lines > 0.01:
         samples = "; ".join(f"line {ln}: {txt!r}" for ln, txt in bad[:5])
         raise IngestionError(f"{len(bad)}/{n_lines} malformed lines in {path}: {samples}")
-    return interactions, len(bad)
+    return Log(np.array(codes, dtype=np.int64).reshape(-1, 3), tuple(map(list, index)),
+               np.array(stamps, dtype=np.int64)), len(bad)
 
 
-def _codes(values):
-    """Dense int codes, numbered by first appearance."""
-    index = {}
-    return np.array([index.setdefault(v, len(index)) for v in values], dtype=np.int64)
-
-
-def _five_core(interactions):
+def _five_core(users, items):
     """Iteratively drop items then users with < MIN_INTERACTIONS, to a fixed point.
 
-    Returns the kept rows in file order and their users' codes.
+    Returns the kept row numbers in file order.
     """
-    users = _codes(r.user for r in interactions)
-    items = _codes(r.item for r in interactions)
-    keep = np.ones(len(interactions), dtype=bool)
+    keep = np.ones(len(users), dtype=bool)
     while True:
         n_kept = np.count_nonzero(keep)
         for codes in (items, users):
             keep &= np.bincount(codes[keep], minlength=len(codes))[codes] >= MIN_INTERACTIONS
         if np.count_nonzero(keep) == n_kept:
-            kept = np.flatnonzero(keep)
-            return [interactions[i] for i in kept.tolist()], users[kept]
+            return np.flatnonzero(keep)
 
 
-def build_sequences(interactions):
+def _first_seen(codes):
+    """Each element's index by first appearance of its code, and where each index first appears."""
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse], first[order]
+
+
+def build_sequences(log):
     """5-core filter, per-user chronological ordering, vocab assignment.
 
     Returns (ItemVocab, list of UserSequence). Users and, within a user,
     timestamp ties keep file order; item/category indices follow first
-    appearance in the filtered, ordered stream.
+    appearance in the filtered, ordered stream, and an item's category is
+    the one on its first row there.
     """
-    if not interactions:
+    if not len(log):
         raise ValueError("no interactions to process")
-    rows, users = _five_core(interactions)
-    if not rows:
+    users, items, cats = log.codes.T
+    rows = _five_core(users, items)
+    if not rows.size:
         raise ValueError("all interactions removed by 5-core filtering")
-    ts = np.array([r.timestamp for r in rows], dtype=np.int64)
-    _, first, user_of_row = np.unique(users, return_index=True, return_inverse=True)
-    order = np.lexsort((ts, first[user_of_row]))  # stable: ties keep file order
-    vocab = ItemVocab()
-    items = [vocab.add(rows[i].item, rows[i].category) for i in order.tolist()]
-    cats = np.array(vocab.item_category)[items].tolist()
-    hours = (ts[order] // 3600 % 24).tolist()
-    grouped = user_of_row[order]
+    user_order, _ = _first_seen(users[rows])
+    rows = rows[np.lexsort((log.timestamps[rows], user_order))]  # stable: ties keep file order
+    item_of, item_first = _first_seen(items[rows])
+    cat_of, cat_first = _first_seen(cats[rows])
+    item_cat = cat_of[item_first] + 1  # 0 = PAD
+    vocab = ItemVocab({log.names[1][c]: k for k, c in enumerate(items[rows[item_first]].tolist())},
+                      {log.names[2][c]: k for k, c in enumerate(cats[rows[cat_first]].tolist(), 1)},
+                      item_cat.tolist())
+    seq_items, seq_cats = item_of.tolist(), item_cat[item_of].tolist()
+    hours = (log.timestamps[rows] // 3600 % 24).tolist()
+    grouped = users[rows]
     bounds = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), len(rows)]
-    return vocab, [UserSequence(rows[order[lo]].user, items[lo:hi], cats[lo:hi], hours[lo:hi])
-                   for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return vocab, [UserSequence(log.names[0][grouped[lo]], seq_items[lo:hi], seq_cats[lo:hi],
+                                hours[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def split_leave_one_out(seq):

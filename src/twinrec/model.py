@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -45,6 +45,16 @@ class ModelConfig:
     m1: int = 2
     variant: str = "full"
 
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        for name in ("vocab_size", "n_contexts", "dim", "kernel_size", "n_heads", "n_layers",
+                     "max_len", "n_tables", "m1"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.kernel_size % 2 == 0:
+            raise ValueError("kernel size must be odd")
+
     def table_sizes(self):
         """Base table sizes: N-1 tables of m1 rows, the last sized to cover |V|."""
         if self.variant == "full_emb":
@@ -65,10 +75,6 @@ class SequentialRecommender:
     """Trainable next-item model; parameters live in a stable, named dict."""
 
     def __init__(self, config, seed=0):
-        if config.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {config.variant!r}")
-        if config.kernel_size % 2 == 0:
-            raise ValueError("kernel size must be odd")
         self.config = config
         self.seed = seed
         self.params = {}
@@ -306,8 +312,4 @@ def l2_penalty(params):
 
 def build_variant(kind, config, seed=0):
     """Construct a model variant; embedding/encoder init is shared by name."""
-    if kind not in VARIANTS:
-        raise ValueError(f"unknown variant {kind!r}; expected one of {VARIANTS}")
-    cfg_args = asdict(config)
-    cfg_args["variant"] = kind
-    return SequentialRecommender(ModelConfig(**cfg_args), seed=seed)
+    return SequentialRecommender(replace(config, variant=kind), seed=seed)

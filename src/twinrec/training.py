@@ -234,6 +234,8 @@ def export_attention(model, items, ctx_indices, last_k=10):
     to one. Heads come from the final encoder layer; the convolution branch
     has no weights to export. Keys: ``head0..head{H-1}`` and ``mean``.
     """
+    if last_k < 1:
+        raise ValueError(f"last_k must be at least 1, got {last_k}")
     with no_grad():
         result = model.forward(items, ctx_indices)
     weights = result["attention"][-1]

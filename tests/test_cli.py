@@ -181,6 +181,25 @@ class TestPipeline:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "out.b" in err[0]
 
+    def test_unreadable_data_is_one_error_line(self, workspace, capsys):
+        ws, log = workspace
+        assert main(["prepare-data", "--set", f"data={log.parent}"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (ws / "sequences.json").exists()
+
+    @pytest.mark.parametrize("last_k", ["0", "-3"])
+    def test_export_last_k_below_one_is_one_error_line(self, workspace, capsys, last_k):
+        ws, log = workspace
+        args = SMALL + ["--set", "epochs=1", "--set", f"data={log}"]
+        assert main(["prepare-data"] + args) == 0
+        assert main(["train"] + args) == 0
+        capsys.readouterr()
+        assert main(["export-attention", "--last-k", last_k] + args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "last_k" in err[0]
+        assert not list(ws.glob("attention_*.csv"))
+
     def test_ablate_writes_all_variants(self, workspace, capsys):
         ws, log = workspace
         args = ["--set", "dim=6", "--set", "kernel_size=3", "--set", "heads=1",

@@ -1,9 +1,12 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinrec.data import (IngestionError, Interaction, build_context_vocab,
+from twinrec.data import (IngestionError, build_context_vocab,
                           build_sequences, dataset_stats, eval_input,
                           generate_training_samples, ingest, load_sequences,
                           save_sequences, split_leave_one_out, ItemVocab,
@@ -15,6 +18,16 @@ def write_tsv(path, rows):
     with open(path, "w", encoding="utf-8") as f:
         for row in rows:
             f.write("\t".join(str(c) for c in row) + "\n")
+
+
+def parse(rows):
+    """Write (user, item, category, timestamp) rows to a temporary TSV and ingest it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "log.tsv")
+        write_tsv(path, rows)
+        log, bad = ingest(path)
+    assert bad == 0
+    return log
 
 
 def dense_log(n_users=4, n_items=6, reps=2):
@@ -29,39 +42,39 @@ def dense_log(n_users=4, n_items=6, reps=2):
     return rows
 
 
-def brute_five_core(interactions):
+def brute_five_core(rows):
     """Dict-counting 5-core: drop items, then users, with < 5 rows until stable."""
-    cur = list(interactions)
+    cur = list(rows)
     while True:
         ic = {}
-        for r in cur:
-            ic[r.item] = ic.get(r.item, 0) + 1
-        nxt = [r for r in cur if ic[r.item] >= 5]
+        for _, item, _, _ in cur:
+            ic[item] = ic.get(item, 0) + 1
+        nxt = [r for r in cur if ic[r[1]] >= 5]
         uc = {}
-        for r in nxt:
-            uc[r.user] = uc.get(r.user, 0) + 1
-        nxt = [r for r in nxt if uc[r.user] >= 5]
+        for user, _, _, _ in nxt:
+            uc[user] = uc.get(user, 0) + 1
+        nxt = [r for r in nxt if uc[r[0]] >= 5]
         if len(nxt) == len(cur):
             return cur
         cur = nxt
 
 
-def naive_sequences(interactions):
+def naive_sequences(rows):
     """Oracle for build_sequences: per-user lists, sorted with Python's sort."""
     by_user = {}
-    for pos, r in enumerate(brute_five_core(interactions)):
-        by_user.setdefault(r.user, []).append((r.timestamp, pos, r))
+    for pos, (user, item, category, ts) in enumerate(brute_five_core(rows)):
+        by_user.setdefault(user, []).append((ts, pos, item, category))
     item_index, item_cat, cat_index = {}, {}, {}
     out = []
-    for user, rows in by_user.items():
+    for user, user_rows in by_user.items():
         items, cats, hours = [], [], []
-        for ts, _, r in sorted(rows, key=lambda t: (t[0], t[1])):
-            cat_index.setdefault(r.category, len(cat_index) + 1)
-            if r.item not in item_index:
-                item_index[r.item] = len(item_index)
-                item_cat[r.item] = cat_index[r.category]
-            items.append(item_index[r.item])
-            cats.append(item_cat[r.item])
+        for ts, _, item, category in sorted(user_rows, key=lambda t: (t[0], t[1])):
+            cat_index.setdefault(category, len(cat_index) + 1)
+            if item not in item_index:
+                item_index[item] = len(item_index)
+                item_cat[item] = cat_index[category]
+            items.append(item_index[item])
+            cats.append(item_cat[item])
             hours.append((ts // 3600) % 24)
         out.append((user, items, cats, hours))
     return item_index, cat_index, out
@@ -94,28 +107,28 @@ def logs(draw):
             for u in range(n_users) for i in range(n_items) for _ in range(reps)]
     rows += draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9), st.integers(0, 2), stamps),
                           max_size=30))
-    return draw(st.permutations(rows))
+    return [(f"u{u}", f"i{i}", f"c{c}", ts) for u, i, c, ts in draw(st.permutations(rows))]
 
 
 class TestIngest:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "log.tsv"
         path.write_text("")
-        interactions, bad = ingest(path)
-        assert interactions == [] and bad == 0
+        log, bad = ingest(path)
+        assert len(log) == 0 and log.codes.shape == (0, 3) and bad == 0
 
     def test_well_formed_lines_in_order(self, tmp_path):
         path = tmp_path / "log.tsv"
         write_tsv(path, [("u1", "a", "c", 10), ("u2", "b", "c", 20), ("u1", "c", "d", 5)])
-        interactions, bad = ingest(path)
+        log, bad = ingest(path)
         assert bad == 0
-        assert [i.item for i in interactions] == ["a", "b", "c"]
+        assert [log.names[1][c] for c in log.codes[:, 1]] == ["a", "b", "c"]
 
     def test_header_skipped(self, tmp_path):
         path = tmp_path / "log.tsv"
         path.write_text("user\titem\tcategory\ttimestamp\nu1\ta\tc\t10\n")
-        interactions, _ = ingest(path)
-        assert len(interactions) == 1
+        log, _ = ingest(path)
+        assert len(log) == 1
 
     def test_malformed_counted_and_skipped(self, tmp_path):
         path = tmp_path / "log.tsv"
@@ -123,15 +136,15 @@ class TestIngest:
         write_tsv(path, rows)
         with open(path, "a", encoding="utf-8") as f:
             f.write("u\tix\tc\tnot-a-number\n")
-        interactions, bad = ingest(path)
+        log, bad = ingest(path)
         assert bad == 1
-        assert len(interactions) == 200
+        assert len(log) == 200
 
     def test_timestamp_beyond_int64_is_malformed(self, tmp_path):
         path = tmp_path / "log.tsv"
         write_tsv(path, [("u", f"i{k}", "c", 10) for k in range(200)] + [("u", "ix", "c", 2**63)])
-        interactions, bad = ingest(path)
-        assert bad == 1 and len(interactions) == 200
+        log, bad = ingest(path)
+        assert bad == 1 and len(log) == 200
 
     def test_too_many_malformed_aborts(self, tmp_path):
         path = tmp_path / "log.tsv"
@@ -143,19 +156,32 @@ class TestIngest:
         with pytest.raises(OSError):
             ingest(tmp_path / "nope.tsv")
 
+    @settings(max_examples=100, deadline=None)
+    @given(logs())
+    def test_columns_number_ids_by_first_appearance(self, rows):
+        log = parse(rows)
+        assert log.codes.dtype == np.int64 and log.codes.shape == (len(rows), 3)
+        assert log.timestamps.dtype == np.int64
+        for col in range(3):
+            first_seen = list(dict.fromkeys(r[col] for r in rows))
+            assert log.names[col] == first_seen
+            assert log.codes[:, col].tolist() == [first_seen.index(r[col]) for r in rows]
+        decoded = [(*(log.names[col][c] for col, c in enumerate(row)), ts)
+                   for row, ts in zip(log.codes.tolist(), log.timestamps.tolist())]
+        assert decoded == rows
+
 
 class TestBuildSequences:
     def test_user_below_threshold_removed(self, tmp_path):
         rows = dense_log(n_users=2, reps=3)
         rows += [("sparse", "i0", "c0", 99), ("sparse", "i1", "c0", 100),
                  ("sparse", "i2", "c0", 101), ("sparse", "i3", "c0", 102)]
-        vocab, seqs = build_sequences([Interaction(*map(str, r[:3]), int(r[3])) for r in rows])
+        vocab, seqs = build_sequences(parse(rows))
         assert {s.user for s in seqs} == {"u0", "u1"}
 
     def test_timestamp_ties_keep_file_order(self):
         rows = dense_log(n_users=1, n_items=5, reps=5)
-        inter = [Interaction(*map(str, r[:3]), 42) for r in rows]  # all equal timestamps
-        vocab, seqs = build_sequences(inter)
+        vocab, seqs = build_sequences(parse([(*r[:3], 42) for r in rows]))  # all equal timestamps
         raw_order = [r[1] for r in rows]
         assert [vocab.item_index[raw] for raw in raw_order] == seqs[0].items
 
@@ -165,16 +191,14 @@ class TestBuildSequences:
         extra = [("u5", "rare", "c0", 5000), ("u5", "i0", "c0", 5001),
                  ("u5", "i1", "c0", 5002), ("u5", "i2", "c0", 5003),
                  ("u5", "i3", "c0", 5004)]
-        inter = [Interaction(*map(str, r[:3]), int(r[3])) for r in rows + extra]
-        vocab, seqs = build_sequences(inter)
-        survivors = brute_five_core(inter)
+        vocab, seqs = build_sequences(parse(rows + extra))
+        survivors = brute_five_core(rows + extra)
         assert sum(len(s) for s in seqs) == len(survivors)
         assert "rare" not in vocab.item_index
 
     def test_fixed_point_invariant(self):
         rows = dense_log(n_users=4, n_items=8, reps=2)
-        inter = [Interaction(*map(str, r[:3]), int(r[3])) for r in rows]
-        vocab, seqs = build_sequences(inter)
+        vocab, seqs = build_sequences(parse(rows))
         item_counts = {}
         user_counts = {}
         for s in seqs:
@@ -185,15 +209,13 @@ class TestBuildSequences:
         assert all(c >= 5 for c in user_counts.values())
 
     def test_all_filtered_raises(self):
-        inter = [Interaction("u", "i", "c", 1)]
         with pytest.raises(ValueError):
-            build_sequences(inter)
+            build_sequences(parse([("u", "i", "c", 1)]))
 
     def test_determinism(self):
-        rows = dense_log()
-        inter = [Interaction(*map(str, r[:3]), int(r[3])) for r in rows]
-        v1, s1 = build_sequences(inter)
-        v2, s2 = build_sequences(inter)
+        log = parse(dense_log())
+        v1, s1 = build_sequences(log)
+        v2, s2 = build_sequences(log)
         assert v1.item_index == v2.item_index
         assert [(s.user, s.items, s.cats, s.hours) for s in s1] == \
                [(s.user, s.items, s.cats, s.hours) for s in s2]
@@ -201,13 +223,12 @@ class TestBuildSequences:
     @settings(max_examples=200, deadline=None)
     @given(logs())
     def test_matches_naive_oracle(self, rows):
-        inter = [Interaction(f"u{u}", f"i{i}", f"c{c}", ts) for u, i, c, ts in rows]
-        item_index, cat_index, want = naive_sequences(inter)
+        item_index, cat_index, want = naive_sequences(rows)
         if not want:
             with pytest.raises(ValueError):
-                build_sequences(inter)
+                build_sequences(parse(rows))
             return
-        vocab, seqs = build_sequences(inter)
+        vocab, seqs = build_sequences(parse(rows))
         assert [(s.user, s.items, s.cats, s.hours) for s in seqs] == want
         assert all(type(v) is int for s in seqs for v in s.items + s.cats + s.hours)
         assert vocab.item_index == item_index
@@ -215,8 +236,7 @@ class TestBuildSequences:
 
     def test_hour_of_day(self):
         rows = dense_log(n_users=1, n_items=5, reps=5)
-        inter = [Interaction(*map(str, r[:3]), int(r[3])) for r in rows]
-        _, seqs = build_sequences(inter)
+        _, seqs = build_sequences(parse(rows))
         # first interaction at ts=1000 -> hour 0, then hourly steps
         assert seqs[0].hours[0] == 0
         assert seqs[0].hours[1] == 1
@@ -280,10 +300,9 @@ class TestSamples:
     @settings(max_examples=200, deadline=None)
     @given(logs(), st.integers(1, 6))
     def test_windows_match_naive_oracle(self, rows, max_len):
-        inter = [Interaction(f"u{u}", f"i{i}", f"c{c}", ts) for u, i, c, ts in rows]
-        if not naive_sequences(inter)[2]:
+        if not naive_sequences(rows)[2]:
             return
-        _, seqs = build_sequences(inter)
+        _, seqs = build_sequences(parse(rows))
         vocab = build_context_vocab(seqs)
         assert all(len(seq) >= 5 for seq in seqs)
         registered = []  # per training position: PAD-previous, then true-previous
@@ -315,18 +334,14 @@ class TestEvalInput:
 
 class TestArtifacts:
     def test_sequence_store_roundtrip(self, tmp_path):
-        rows = dense_log()
-        inter = [Interaction(*map(str, r[:3]), int(r[3])) for r in rows]
-        _, seqs = build_sequences(inter)
+        _, seqs = build_sequences(parse(dense_log()))
         path = tmp_path / "sequences.json"
         save_sequences(seqs, path)
         loaded = load_sequences(path)
         assert [(s.user, s.items) for s in loaded] == [(s.user, s.items) for s in seqs]
 
     def test_item_vocab_roundtrip(self, tmp_path):
-        rows = dense_log()
-        inter = [Interaction(*map(str, r[:3]), int(r[3])) for r in rows]
-        vocab, _ = build_sequences(inter)
+        vocab, _ = build_sequences(parse(dense_log()))
         path = tmp_path / "items.tsv"
         vocab.save(path)
         loaded = ItemVocab.load(path)
@@ -335,8 +350,7 @@ class TestArtifacts:
         assert loaded.category_index == vocab.category_index
 
     def test_item_vocab_keeps_category_names(self, tmp_path):
-        vocab = ItemVocab()
-        vocab.add("a", "books")
+        vocab = ItemVocab(item_index={"a": 0}, category_index={"books": 1}, item_category=[1])
         vocab.save(tmp_path / "items.tsv")
         assert ItemVocab.load(tmp_path / "items.tsv").category_index == {"books": 1}
 
@@ -360,9 +374,7 @@ class TestArtifacts:
         assert [p.name for p in tmp_path.iterdir()] == ["sequences.json"]
 
     def test_stats(self):
-        rows = dense_log(n_users=6, n_items=6, reps=1)
-        inter = [Interaction(*map(str, r[:3]), int(r[3])) for r in rows]
-        vocab, seqs = build_sequences(inter)
+        vocab, seqs = build_sequences(parse(dense_log(n_users=6, n_items=6, reps=1)))
         stats = dataset_stats(vocab, seqs)
         assert stats["n_users"] == 6
         assert stats["n_items"] == 6

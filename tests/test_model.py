@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twinrec.autodiff import Tensor, finite_diff_check, use_dtype, zero_grads
 from twinrec.model import (ModelConfig, SequentialRecommender, build_variant,
@@ -91,20 +93,24 @@ class TestForward:
         probs = model.forward_scores(items, ctxs)
         assert not probs.requires_grad and probs._parents == ()
 
-    def test_batch_rows_match_single_sequences(self):
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(1, tiny_config().max_len), min_size=1, max_size=6),
+           st.integers(0, 2**32 - 1))
+    @example(lengths=[3, 7, 1], seed=4)
+    def test_batch_rows_match_single_sequences(self, lengths, seed):
         from twinrec.embedding import PAD_ITEM
-        rng = np.random.default_rng(4)
+        rng = np.random.default_rng(seed)
         with use_dtype(np.float64):
             model = SequentialRecommender(tiny_config(n_layers=2), seed=4)
-            windows = [random_sequence(rng, model.config, t=t) for t in (3, 7, 1)]
-            items = np.full((3, 7), PAD_ITEM)
-            ctxs = np.zeros((3, 7), dtype=np.int64)
+            windows = [random_sequence(rng, model.config, t=t) for t in lengths]
+            items = np.full((len(lengths), max(lengths)), PAD_ITEM)
+            ctxs = np.zeros((len(lengths), max(lengths)), dtype=np.int64)
             for row, (it, cx) in enumerate(windows):
                 items[row, :len(it)] = it
                 ctxs[row, :len(cx)] = cx
             batched = model.forward(items, ctxs)["logits"].data
             single = [model.forward(it, cx)["logits"].data[0] for it, cx in windows]
-        assert batched.shape == (3, 12)
+        assert batched.shape == (len(lengths), 12)
         np.testing.assert_allclose(batched, np.stack(single), rtol=0, atol=1e-12)
 
 
@@ -295,6 +301,19 @@ class TestVariants:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             build_variant("frobnicate", tiny_config())
+
+    @pytest.mark.parametrize("field", ["vocab_size", "n_contexts", "dim", "kernel_size",
+                                       "n_heads", "n_layers", "max_len", "n_tables", "m1"])
+    def test_config_rejects_sizes_below_one(self, field):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**{field: 0})
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**{field: -1})
+
+    @pytest.mark.parametrize("bad", [{"variant": "frobnicate"}, {"kernel_size": 4}])
+    def test_config_rejects_unknown_variant_and_even_kernel(self, bad):
+        with pytest.raises(ValueError):
+            tiny_config(**bad)
 
     def test_full_and_wo_dynamic_collapse_at_n1(self):
         # with a single base table both pipelines compute the same embedding

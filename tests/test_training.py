@@ -287,6 +287,12 @@ class TestExportAttention:
             assert matrix.shape == (5, 5)
             np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("last_k", [0, -2])
+    def test_last_k_below_one_rejected(self, last_k):
+        model, _, _, _ = tiny_setup()
+        with pytest.raises(ValueError, match="last_k"):
+            export_attention(model, list(range(8)), [0] * 8, last_k=last_k)
+
     def test_records_no_graph(self, monkeypatch):
         model, _, _, _ = tiny_setup()
         results = []
