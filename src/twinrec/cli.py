@@ -21,9 +21,9 @@ from . import data as datamod
 from . import training
 from .atomic import atomic_write
 from .autodiff import finite_diff_check, use_dtype
-from .config import ConfigError, config_hash, load_config
+from .config import ConfigError, config_hash, load_config, model_config, train_config
 from .embedding import ContextVocab
-from .model import ModelConfig, SequentialRecommender, VARIANTS, build_variant
+from .model import SequentialRecommender, VARIANTS, build_variant
 from .encoder import count_branch_params
 
 
@@ -45,18 +45,15 @@ def _load_workspace(cfg):
     return ws, sequences, vocab, ctx_vocab
 
 
-def _model_config(cfg, vocab_size, n_contexts):
-    return ModelConfig(vocab_size=vocab_size, n_contexts=n_contexts,
-                       dim=cfg["dim"], kernel_size=cfg["kernel_size"],
-                       n_heads=cfg["heads"], n_layers=cfg["layers"],
-                       max_len=cfg["max_len"], n_tables=cfg["tables"],
-                       m1=cfg["m1"], variant=cfg["variant"])
-
-
-def _train_config(cfg):
-    return training.TrainConfig(batch_size=cfg["batch_size"], lr=cfg["lr"],
-                                l2=cfg["l2"], epochs=cfg["epochs"],
-                                seed=cfg["seed"], patience=cfg["patience"])
+def _load_checkpoint(ws, vocab, ctx_vocab):
+    """The workspace's checkpoint, which must be trained on its vocabularies."""
+    model = SequentialRecommender.load(ws / "checkpoint.bin")
+    mc = model.config
+    if (mc.vocab_size, mc.n_contexts) != (vocab.n_items, ctx_vocab.size):
+        raise ValueError(f"{ws / 'checkpoint.bin'} was trained on {mc.vocab_size} items and "
+                         f"{mc.n_contexts} contexts, but the workspace has {vocab.n_items} "
+                         f"items and {ctx_vocab.size} contexts; run train again")
+    return model
 
 
 def _all_samples(sequences, ctx_vocab, max_len):
@@ -88,7 +85,7 @@ def cmd_prepare_data(cfg):
         json.dump(stats, f, sort_keys=True, indent=2)
     # the context table can eat into the embedding savings; surface that
     ctx_cost = ctx_vocab.size * cfg["dim"]
-    saved = (vocab.n_items - sum(_model_config(cfg, vocab.n_items, 1).table_sizes())) * cfg["dim"]
+    saved = (vocab.n_items - sum(model_config(cfg, vocab.n_items, 1).table_sizes())) * cfg["dim"]
     if ctx_cost > saved > 0:
         print(f"warning: context table ({ctx_cost} values) exceeds the "
               f"embedding savings ({saved} values)", file=sys.stderr)
@@ -99,9 +96,9 @@ def cmd_prepare_data(cfg):
 def cmd_train(cfg):
     ws, sequences, vocab, ctx_vocab = _load_workspace(cfg)
     model = SequentialRecommender(
-        _model_config(cfg, vocab.n_items, ctx_vocab.size), seed=cfg["seed"])
+        model_config(cfg, vocab.n_items, ctx_vocab.size), seed=cfg["seed"])
     samples = _all_samples(sequences, ctx_vocab, cfg["max_len"])
-    tc = _train_config(cfg)
+    tc = train_config(cfg)
     result = training.train(
         model, samples, tc, val_sequences=sequences, ctx_vocab=ctx_vocab,
         progress=lambda e, loss, ndcg, s: print(
@@ -118,8 +115,8 @@ def cmd_train(cfg):
 
 
 def cmd_evaluate(cfg, split):
-    ws, sequences, _, ctx_vocab = _load_workspace(cfg)
-    model = SequentialRecommender.load(ws / "checkpoint.bin")
+    ws, sequences, vocab, ctx_vocab = _load_workspace(cfg)
+    model = _load_checkpoint(ws, vocab, ctx_vocab)
     report = training.evaluate(model, sequences, ctx_vocab, split)
     doc = report.to_json_dict(config_hash(cfg))
     out = ws / f"metrics_{split}.json"
@@ -132,11 +129,11 @@ def cmd_evaluate(cfg, split):
 def cmd_ablate(cfg):
     ws, sequences, vocab, ctx_vocab = _load_workspace(cfg)
     samples = _all_samples(sequences, ctx_vocab, cfg["max_len"])
-    base_config = _model_config(cfg, vocab.n_items, ctx_vocab.size)
+    base_config = model_config(cfg, vocab.n_items, ctx_vocab.size)
     rows = []
     for kind in VARIANTS:
         model = build_variant(kind, base_config, seed=cfg["seed"])
-        training.train(model, samples, _train_config(cfg),
+        training.train(model, samples, train_config(cfg),
                        val_sequences=sequences, ctx_vocab=ctx_vocab)
         report = training.evaluate(model, sequences, ctx_vocab, "test")
         rows.append((kind, report))
@@ -157,7 +154,7 @@ def cmd_count_params(cfg):
     else:
         _, _, vocab, ctx_vocab = _load_workspace(cfg)
         vocab_size, n_contexts = vocab.n_items, ctx_vocab.size
-    model = SequentialRecommender(_model_config(cfg, vocab_size, n_contexts),
+    model = SequentialRecommender(model_config(cfg, vocab_size, n_contexts),
                                   seed=cfg["seed"])
     counts = model.count_parameters()
     full_table = cfg["dim"] * vocab_size
@@ -173,8 +170,8 @@ def cmd_count_params(cfg):
 
 
 def cmd_export_attention(cfg, user, last_k):
-    ws, sequences, _, ctx_vocab = _load_workspace(cfg)
-    model = SequentialRecommender.load(ws / "checkpoint.bin")
+    ws, sequences, vocab, ctx_vocab = _load_workspace(cfg)
+    model = _load_checkpoint(ws, vocab, ctx_vocab)
     if user is not None:
         matching = [s for s in sequences if s.user == user]
         if not matching:
@@ -204,7 +201,7 @@ def cmd_gradcheck(cfg, threshold=1e-3):
     n_contexts = max(cfg["contexts"], 1) if cfg["contexts"] else 8
     with use_dtype(np.float64):
         model = SequentialRecommender(
-            _model_config(cfg, vocab_size, n_contexts), seed=cfg["seed"])
+            model_config(cfg, vocab_size, n_contexts), seed=cfg["seed"])
         t = min(6, cfg["max_len"])
         items = rng.integers(0, vocab_size, size=t)
         ctxs = rng.integers(0, n_contexts, size=t)

@@ -4,50 +4,61 @@ A config file holds one ``key = value`` pair per line (``#`` comments
 allowed); unknown keys are rejected. Individual keys can be overridden on
 the command line. The resolved config is hashed and echoed into every
 output artifact for provenance.
+
+Every field of ``ModelConfig`` except the item and context counts, and
+every field of ``TrainConfig``, is one config key; the dataclasses own each
+setting's type, default and checks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-import math
 
-from .model import VARIANTS
+from .model import ModelConfig
+from .training import TrainConfig
+
+# Config keys that differ from their field's name: field -> key.
+_RENAMED = {"n_heads": "heads", "n_layers": "layers", "n_tables": "tables"}
+
+
+def _keys(cls):
+    """Config key -> field, for each field of ``cls`` that has a default."""
+    return {_RENAMED.get(f.name, f.name): f for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
+
+_MODEL_KEYS = _keys(ModelConfig)
+_TRAIN_KEYS = _keys(TrainConfig)
 
 # key -> (type, default)
-SCHEMA = {
-    "dim": (int, 128),
-    "kernel_size": (int, 5),
-    "heads": (int, 2),
-    "layers": (int, 1),
-    "max_len": (int, 50),
-    "tables": (int, 2),
-    "m1": (int, 2),
-    "l2": (float, 1e-5),
-    "lr": (float, 0.001),
-    "batch_size": (int, 256),
-    "epochs": (int, 10),
-    "seed": (int, 0),
-    "variant": (str, "full"),
-    "patience": (int, 10),
+SCHEMA = {key: (type(f.default), f.default)
+          for key, f in {**_MODEL_KEYS, **_TRAIN_KEYS}.items()}
+SCHEMA.update({
     "data": (str, ""),          # input interaction TSV (prepare-data)
     "workspace": (str, "out"),  # output / artifact directory
     "vocab_size": (int, 0),     # 0 = derive from prepared workspace
     "contexts": (int, 0),       # 0 = derive from prepared workspace
-}
+})
 
 
 class ConfigError(ValueError):
     pass
 
 
+def model_config(cfg, vocab_size, n_contexts):
+    return ModelConfig(vocab_size=vocab_size, n_contexts=n_contexts,
+                       **{f.name: cfg[key] for key, f in _MODEL_KEYS.items()})
+
+
+def train_config(cfg):
+    return TrainConfig(**{f.name: cfg[key] for key, f in _TRAIN_KEYS.items()})
+
+
 def _parse_value(key, raw):
     typ, _ = SCHEMA[key]
     try:
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-        return raw
+        return typ(raw)
     except ValueError as e:
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {typ.__name__}") from e
 
@@ -79,17 +90,12 @@ def load_config(path=None, overrides=()):
 
 
 def validate(cfg):
-    if cfg["variant"] not in VARIANTS:
-        raise ConfigError(f"variant must be one of {VARIANTS}, got {cfg['variant']!r}")
-    for key in ("dim", "kernel_size", "heads", "layers", "max_len", "tables", "m1",
-                "batch_size", "patience"):
-        if cfg[key] < 1:
-            raise ConfigError(f"config key {key!r} must be positive, got {cfg[key]}")
-    if cfg["kernel_size"] % 2 == 0:
-        raise ConfigError("kernel_size must be odd")
-    if not 0 < cfg["lr"] < math.inf or not 0 <= cfg["l2"] < math.inf or cfg["epochs"] < 0:
-        raise ConfigError(f"lr must be positive and finite (got {cfg['lr']}), l2 finite and "
-                          f"non-negative (got {cfg['l2']}), epochs non-negative")
+    """Check every setting by building both dataclasses."""
+    try:
+        model_config(cfg, 1, 1)  # item and context counts exist only after prepare-data
+        train_config(cfg)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def config_hash(cfg):

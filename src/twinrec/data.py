@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -216,18 +217,16 @@ def _contexts(seq, lo, hi):
 
 
 def build_context_vocab(sequences):
-    """Register every triplet a training window can produce.
+    """Number every triplet a training window can produce, 1.. by first registration.
 
-    For each training position the PAD-previous variant (used when a window
-    starts there) and then the true-previous triplet are added.
+    Each training position registers its PAD-previous variant (used when a
+    window starts there) and then its true-previous triplet.
     """
-    vocab = ContextVocab()
-    for seq in sequences:
+    def registered(seq):
         split = split_leave_one_out(seq)
-        for pad, true in zip(*_contexts(seq, 0, split[0] if split else 0)):
-            vocab.add(pad)
-            vocab.add(true)
-    return vocab
+        return chain.from_iterable(zip(*_contexts(seq, 0, split[0] if split else 0)))
+    order = dict.fromkeys(chain.from_iterable(map(registered, sequences)))
+    return ContextVocab({triplet: i for i, triplet in enumerate(order, start=1)})
 
 
 def _windows(seq, ctx_vocab, max_len, ends):

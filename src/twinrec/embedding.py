@@ -71,19 +71,10 @@ def decompose_indices(gs, sizes):
 class ContextVocab:
     """Dense indexing of (prev-category, current-category, hour) triplets.
 
-    Index 0 is reserved for unseen triplets; training-time triplets get
-    stable indices in registration order.
+    Index 0 is reserved for unseen triplets; training-time triplets are
+    numbered 1.. in registration order (see ``data.build_context_vocab``).
     """
     index: dict = field(default_factory=dict)
-
-    def add(self, triplet):
-        prev_cat, cur_cat, hour = triplet
-        if not 0 <= hour <= 23:
-            raise ValueError(f"hour {hour} outside 0..23")
-        key = (int(prev_cat), int(cur_cat), int(hour))
-        if key not in self.index:
-            self.index[key] = len(self.index) + 1
-        return self.index[key]
 
     def lookup(self, triplet):
         # Integer scalars of any type hash and compare as the stored ints do.
@@ -101,13 +92,24 @@ class ContextVocab:
 
     @classmethod
     def load(cls, path):
+        """Read a file ``save`` wrote: ids 1..n in file order, hours in 0..23."""
         vocab = cls()
         with open(path, encoding="utf-8") as f:
-            for line in f:
+            for lineno, line in enumerate(f, start=1):
                 if not line.strip():
                     continue
-                prev, cur, hour, idx = line.rstrip("\n").split("\t")
-                vocab.index[(int(prev), int(cur), int(hour))] = int(idx)
+                try:
+                    prev, cur, hour, idx = map(int, line.rstrip("\n").split("\t"))
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno} is not four integer fields; "
+                                     f"run prepare-data again") from None
+                if not 0 <= hour <= 23:
+                    raise ValueError(f"{path}: line {lineno} has hour {hour} outside 0..23")
+                key = (prev, cur, hour)
+                if idx != len(vocab.index) + 1 or key in vocab.index:
+                    raise ValueError(f"{path}: line {lineno} gives {key} id {idx}; ids must "
+                                     f"number distinct triplets 1.. in file order")
+                vocab.index[key] = idx
         return vocab
 
 

@@ -53,7 +53,7 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.kernel_size % 2 == 0:
-            raise ValueError("kernel size must be odd")
+            raise ValueError(f"kernel_size must be odd, got {self.kernel_size}")
 
     def table_sizes(self):
         """Base table sizes: N-1 tables of m1 rows, the last sized to cover |V|."""

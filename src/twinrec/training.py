@@ -11,6 +11,10 @@ from . import data as datamod
 from .autodiff import BLOCK, no_grad, zero_grads
 
 
+# Adam's moment decay rates and denominator offset.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 256
@@ -18,17 +22,16 @@ class TrainConfig:
     l2: float = 1e-5
     epochs: int = 10
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     patience: int = 10  # early stop on validation nDCG@10
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 0 or self.patience < 1:
-            raise ValueError("batch size and patience must be positive, epochs non-negative")
-        if not 0 < self.lr < math.inf or not 0 <= self.l2 < math.inf:
-            raise ValueError(f"learning rate must be positive and finite (got {self.lr}), "
-                             f"l2 finite and non-negative (got {self.l2})")
+        for name, ok, rule in (("batch_size", self.batch_size >= 1, "at least 1"),
+                               ("patience", self.patience >= 1, "at least 1"),
+                               ("epochs", self.epochs >= 0, "non-negative"),
+                               ("lr", 0 < self.lr < math.inf, "positive and finite"),
+                               ("l2", 0 <= self.l2 < math.inf, "finite and non-negative")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 class Adam:
@@ -57,12 +60,11 @@ class Adam:
                          for name, p in params.items()}
 
     def step(self):
-        cfg = self.config
         missing = [name for name, p in self.params.items() if p.grad is None]
         if missing:
             raise RuntimeError(f"parameters without gradients: {missing}")
         self.t += 1
-        b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.lr, cfg.eps
+        b1, b2, lr, eps = BETA1, BETA2, self.config.lr, EPS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():

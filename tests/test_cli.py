@@ -1,10 +1,12 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from twinrec.cli import main
-from twinrec.config import ConfigError, config_hash, load_config
+from twinrec.config import (SCHEMA, ConfigError, config_hash, load_config, model_config,
+                            train_config)
 
 
 def make_log(path, n_users=10, n_items=12, length=10):
@@ -67,6 +69,41 @@ class TestConfig:
     def test_nonfinite_rate_rejected(self, override):
         with pytest.raises(ConfigError):
             load_config(None, [override])
+
+    @pytest.mark.parametrize("override", ["heads=0", "layers=0", "tables=0", "m1=0", "max_len=0",
+                                          "dim=0", "batch_size=0", "patience=0", "epochs=-1",
+                                          "l2=-1", "kernel_size=4", "variant=bogus"])
+    def test_out_of_range_setting_named_with_its_value(self, override):
+        key, value = override.split("=")
+        with pytest.raises(ConfigError, match=f"{key}.*{value}"):
+            load_config(None, [override])
+
+    def test_every_field_set_by_exactly_one_key(self):
+        base = load_config()
+
+        def fields(cfg):
+            return {**{("model", k): v for k, v in asdict(model_config(cfg, 7, 3)).items()},
+                    **{("train", k): v for k, v in asdict(train_config(cfg)).items()}}
+
+        def changed(default):
+            if isinstance(default, str):
+                return "plain_attn" if default != "plain_attn" else "full"
+            return default + 2 if isinstance(default, int) else default * 2
+
+        ref = fields(base)
+        setters = {name: [] for name in ref if name[1] not in ("vocab_size", "n_contexts")}
+        for key, (_, default) in SCHEMA.items():
+            for name, value in fields(dict(base, **{key: changed(default)})).items():
+                if value != ref[name]:
+                    setters[name].append(key)
+        assert {name: keys for name, keys in setters.items() if len(keys) != 1} == {}
+        assert setters[("model", "n_heads")] == ["heads"]
+        assert setters[("model", "n_layers")] == ["layers"]
+        assert setters[("model", "n_tables")] == ["tables"]
+
+    def test_hash_pinned(self):
+        assert config_hash(load_config()) == "f7d0d8327c9e0ccb"
+        assert config_hash(load_config(None, SMALL[1::2])) == "02c2ca9dafb52345"
 
     def test_hash_stable_and_sensitive(self):
         a = config_hash(load_config())
@@ -199,6 +236,42 @@ class TestPipeline:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "last_k" in err[0]
         assert not list(ws.glob("attention_*.csv"))
+
+    @pytest.mark.parametrize("line,message", [
+        ("0\t1", "line 2 is not four integer fields"),
+        ("0\t1\t3\t500", "line 2 gives (0, 1, 3) id 500"),
+    ], ids=["two_fields", "id_500"])
+    def test_bad_context_vocab_is_one_error_line(self, workspace, capsys, line, message):
+        ws, log = workspace
+        args = SMALL + ["--set", "epochs=1", "--set", f"data={log}"]
+        assert main(["prepare-data"] + args) == 0
+        path = ws / "context_vocab.tsv"
+        first = path.read_text().splitlines()[0]
+        path.write_text(f"{first}\n{line}\n")
+        capsys.readouterr()
+        assert main(["train"] + args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(path) in err[0] and message in err[0]
+        assert not (ws / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "export-attention"])
+    def test_checkpoint_of_other_vocab_is_one_error_line(self, workspace, capsys, command):
+        ws, log = workspace
+        args = SMALL + ["--set", "epochs=1", "--set", f"data={log}"]
+        assert main(["prepare-data"] + args) == 0
+        assert main(["train"] + args) == 0
+        other = log.parent / "other.tsv"
+        make_log(other, n_users=30, n_items=30, length=20)
+        assert main(["prepare-data"] + SMALL + ["--set", f"data={other}"]) == 0
+        n_contexts = len((ws / "context_vocab.tsv").read_text().splitlines()) + 1
+        capsys.readouterr()
+        assert main([command] + args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "trained on 12 items" in err[0]
+        assert f"workspace has 30 items and {n_contexts} contexts" in err[0]
+        assert not list(ws.glob("metrics_*.json")) and not list(ws.glob("attention_*.csv"))
 
     def test_ablate_writes_all_variants(self, workspace, capsys):
         ws, log = workspace

@@ -81,26 +81,45 @@ class TestLookup:
         assert len(seen) == 21
 
 
+def write_lines(path, lines):
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return path
+
+
 class TestContextVocab:
     def test_unseen_maps_to_unk(self):
-        vocab = ContextVocab()
-        vocab.add((0, 1, 12))
+        vocab = ContextVocab({(0, 1, 12): 1})
         assert vocab.lookup((0, 1, 12)) == 1
         assert vocab.lookup((9, 9, 9)) == UNK_CONTEXT
 
-    def test_hour_range_checked(self):
-        with pytest.raises(ValueError):
-            ContextVocab().add((0, 1, 24))
+    def test_hour_range_checked(self, tmp_path):
+        for hour in (24, -1):
+            path = write_lines(tmp_path / "ctx.tsv", ["0\t1\t3\t1", f"0\t1\t{hour}\t2"])
+            with pytest.raises(ValueError, match=f"ctx.tsv: line 2 has hour {hour} outside"):
+                ContextVocab.load(path)
 
     def test_roundtrip(self, tmp_path):
-        vocab = ContextVocab()
-        for t in [(0, 1, 3), (1, 2, 5), (2, 2, 23)]:
-            vocab.add(t)
+        vocab = ContextVocab({(0, 1, 3): 1, (1, 2, 5): 2, (2, 2, 23): 3})
         path = tmp_path / "ctx.tsv"
         vocab.save(path)
         loaded = ContextVocab.load(path)
         assert loaded.index == vocab.index
         assert loaded.size == vocab.size
+
+    @pytest.mark.parametrize("line", ["0\t1", "0\t1\t3\t2\t9", "0\tx\t3\t2", "0\t1\t3.5\t2"],
+                             ids=["two", "five", "text", "float"])
+    def test_load_requires_four_integer_fields(self, tmp_path, line):
+        path = write_lines(tmp_path / "ctx.tsv", ["0\t1\t3\t1", line])
+        with pytest.raises(ValueError, match="ctx.tsv: line 2 is not four integer fields"):
+            ContextVocab.load(path)
+
+    @pytest.mark.parametrize("second", ["0\t2\t3\t500", "0\t2\t3\t1", "0\t2\t3\t3",
+                                        "0\t1\t3\t2"],
+                             ids=["id_500", "repeated_id", "skipped_id", "repeated_triplet"])
+    def test_load_requires_ids_one_to_n_of_distinct_triplets(self, tmp_path, second):
+        path = write_lines(tmp_path / "ctx.tsv", ["0\t1\t3\t1", second])
+        with pytest.raises(ValueError, match="ctx.tsv: line 2 gives"):
+            ContextVocab.load(path)
 
 
 class TestFusion:

@@ -8,8 +8,8 @@ from twinrec.autodiff import BLOCK, Tensor, use_dtype
 from twinrec.data import (UserSequence, build_context_vocab, eval_input,
                           generate_training_samples)
 from twinrec.model import ModelConfig, SequentialRecommender
-from twinrec.training import (Adam, TrainConfig, evaluate, export_attention,
-                              rank_of, ranking_metrics, train)
+from twinrec.training import (BETA1, BETA2, EPS, Adam, TrainConfig, evaluate,
+                              export_attention, rank_of, ranking_metrics, train)
 
 
 def reference_adam(theta, grads, lr=0.1, b1=0.9, b2=0.999, eps=1e-8):
@@ -85,11 +85,11 @@ class TestAdam:
             p.grad = g
             opt.step()
             # The plain whole-array update, as the oracle.
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-            m_hat = m / (1.0 - cfg.beta1 ** t)
-            v_hat = v / (1.0 - cfg.beta2 ** t)
-            theta = theta - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            m = BETA1 * m + (1.0 - BETA1) * g
+            v = BETA2 * v + (1.0 - BETA2) * g * g
+            m_hat = m / (1.0 - BETA1 ** t)
+            v_hat = v / (1.0 - BETA2 ** t)
+            theta = theta - cfg.lr * m_hat / (np.sqrt(v_hat) + EPS)
         assert p.data.dtype == theta.dtype == dtype
         np.testing.assert_array_equal(p.data, theta)
         np.testing.assert_array_equal(opt.m["p"], m)
