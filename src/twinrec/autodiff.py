@@ -37,10 +37,6 @@ class NumericDomainError(ValueError):
     """Raised when an operation receives non-finite input."""
 
 
-def current_dtype():
-    return _DTYPE
-
-
 @contextmanager
 def use_dtype(dtype):
     """Temporarily switch the storage dtype for newly created tensors."""

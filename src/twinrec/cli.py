@@ -41,6 +41,11 @@ def _load_workspace(cfg):
             raise FileNotFoundError(f"{ws / name} missing; run prepare-data first")
     sequences = datamod.load_sequences(ws / "sequences.json")
     vocab = datamod.ItemVocab.load(ws / "item_vocab.tsv")
+    top_category = max(vocab.item_category, default=0)
+    for seq in sequences:
+        if seq.items and (max(seq.items) >= vocab.n_items or max(seq.cats) > top_category):
+            raise ValueError(f"{ws / 'sequences.json'}: user {seq.user!r} has an item or "
+                             f"category that {ws / 'item_vocab.tsv'} does not list")
     ctx_vocab = ContextVocab.load(ws / "context_vocab.tsv")
     return ws, sequences, vocab, ctx_vocab
 
@@ -197,7 +202,7 @@ def cmd_export_attention(cfg, user, last_k):
 
 def cmd_gradcheck(cfg, threshold=1e-3):
     rng = np.random.default_rng(cfg["seed"])
-    vocab_size = max(cfg["vocab_size"], 20) if cfg["vocab_size"] else 20
+    vocab_size = max(cfg["vocab_size"], 20)
     n_contexts = max(cfg["contexts"], 1) if cfg["contexts"] else 8
     with use_dtype(np.float64):
         model = SequentialRecommender(

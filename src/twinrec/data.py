@@ -69,8 +69,8 @@ class ItemVocab:
 
     @classmethod
     def load(cls, path):
+        """Read a file ``save`` wrote: distinct items numbered 0.. in file order, categories from 1."""
         vocab = cls()
-        rows, categories = [], {}
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
                 if not line.strip():
@@ -80,13 +80,19 @@ class ItemVocab:
                     raise ValueError(f"{path}: line {lineno} has {len(fields)} fields, "
                                      f"expected 4; run prepare-data again")
                 raw, idx, cat, name = fields
-                rows.append((raw, int(idx), int(cat)))
-                categories[name] = int(cat)
-        rows.sort(key=lambda r: r[1])
-        for raw, idx, cat in rows:
-            vocab.item_index[raw] = idx
-            vocab.item_category.append(cat)
-        vocab.category_index = dict(sorted(categories.items(), key=lambda kv: kv[1]))
+                try:
+                    idx, cat = int(idx), int(cat)
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno} has a non-integer index or "
+                                     f"category; run prepare-data again") from None
+                if idx != vocab.n_items or cat < 1 or raw in vocab.item_index:
+                    raise ValueError(f"{path}: line {lineno} gives item {raw!r} index {idx} and "
+                                     f"category {cat}; indices must number distinct items 0.. "
+                                     f"in file order and categories start at 1")
+                vocab.item_index[raw] = idx
+                vocab.item_category.append(cat)
+                vocab.category_index[name] = cat
+        vocab.category_index = dict(sorted(vocab.category_index.items(), key=lambda kv: kv[1]))
         return vocab
 
 
@@ -286,7 +292,31 @@ def save_sequences(sequences, path):
         json.dump(doc, f, sort_keys=True, separators=(",", ":"))
 
 
+def _record_fault(d):
+    """What is wrong with one ``sequences.json`` record, or None."""
+    columns = [d.get(key) for key in ("items", "cats", "hours")]
+    if not all(isinstance(c, list) and all(type(x) is int for x in c) for c in columns):
+        return "needs items, cats and hours lists of integers"
+    items, cats, hours = columns
+    if not len(items) == len(cats) == len(hours):
+        return "has items, cats and hours of different lengths"
+    if items and (min(items) < 0 or min(cats) < 1 or min(hours) < 0 or max(hours) > 23):
+        return "needs items from 0, categories from 1 and hours in 0..23"
+    return None
+
+
 def load_sequences(path):
+    """Read a file ``save_sequences`` wrote, checking each record as it is built."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    return [UserSequence(d["user"], d["items"], d["cats"], d["hours"]) for d in doc]
+    if not isinstance(doc, list):
+        raise ValueError(f"{path}: expected a list of user records")
+    sequences = []
+    for k, d in enumerate(doc):
+        if not isinstance(d, dict) or not isinstance(d.get("user"), str):
+            raise ValueError(f"{path}: record {k} has no string user")
+        fault = _record_fault(d)
+        if fault:
+            raise ValueError(f"{path}: user {d['user']!r} {fault}")
+        sequences.append(UserSequence(d["user"], d["items"], d["cats"], d["hours"]))
+    return sequences

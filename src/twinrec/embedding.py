@@ -122,7 +122,6 @@ class EmbeddingParams:
     """
     tables: list          # N tensors, table n of shape (m_n, D)
     sizes: list           # [m_1 .. m_N]
-    vocab_size: int
     context_table: Tensor  # (n_contexts, D)
     w_att: Tensor | None   # (D, D)
     w_mix: Tensor          # (2D, D)

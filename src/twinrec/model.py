@@ -100,8 +100,7 @@ class SequentialRecommender:
         w_att = new_param("fusion.w_att", (d, d)) if dynamic else None
         w_mix = new_param("fusion.w_mix", (2 * d, d))
         b_mix = new_param("fusion.b_mix", (d,), zero=True)
-        self.embedding = EmbeddingParams(tables, sizes, config.vocab_size,
-                                         context_table, w_att, w_mix, b_mix)
+        self.embedding = EmbeddingParams(tables, sizes, context_table, w_att, w_mix, b_mix)
         self.dynamic_fusion = dynamic
 
         n_conv = 0 if config.variant == "plain_attn" else config.n_heads
@@ -248,36 +247,32 @@ class SequentialRecommender:
 
     @classmethod
     def load(cls, path):
+        """Read each tensor, listed in the model's order and packed end to end, into the model."""
         with open(path, "rb") as f:
             header = json.loads(f.readline().decode("utf-8"))
             if header.get("magic") != CHECKPOINT_MAGIC:
                 raise ValueError(f"{path}: not a checkpoint file")
-            payload = f.read()
-        model = cls(ModelConfig(**header["config"]), seed=header["seed"])
-        loaded, total = set(), 0
-        for entry in header["tensors"]:
-            name, shape = entry["name"], tuple(entry["shape"])
-            if name not in model.params or name in loaded:
-                raise ValueError(f"{path}: unknown or repeated tensor {name!r}")
-            if shape != model.params[name].data.shape:
-                raise ValueError(f"{path}: tensor {name!r} has shape {shape}, "
-                                 f"the model expects {model.params[name].data.shape}")
-            dtype = np.dtype(entry["dtype"])
-            count = math.prod(shape)
-            total += count * dtype.itemsize
-            if not 0 <= entry["offset"] <= len(payload) - count * dtype.itemsize:
-                raise ValueError(f"{path}: tensor {name!r} lies outside the "
-                                 f"{len(payload)}-byte payload")
-            arr = np.frombuffer(payload, dtype=dtype, count=count,
-                                offset=entry["offset"]).reshape(shape)
-            model.params[name].data = arr.astype(autodiff.current_dtype())
-            loaded.add(name)
-        missing = [name for name in model.params if name not in loaded]
-        if missing:
-            raise ValueError(f"{path}: tensors missing from the checkpoint: {missing}")
-        if total != len(payload):
-            raise ValueError(f"{path}: payload is {len(payload)} bytes, "
-                             f"the manifest describes {total}")
+            model = cls(ModelConfig(**header["config"]), seed=header["seed"])
+            entries, offset = header["tensors"], 0
+            if len(entries) > len(model.params):
+                raise ValueError(f"{path}: unknown tensor {entries[len(model.params)]['name']!r}")
+            for k, (name, p) in enumerate(model.params.items()):
+                entry = entries[k] if k < len(entries) else {"name": None}
+                if entry["name"] != name:
+                    raise ValueError(f"{path}: manifest entry {k} is {entry['name']!r}, "
+                                     f"the model expects tensor {name!r}")
+                if tuple(entry["shape"]) != p.data.shape or entry["offset"] != offset:
+                    raise ValueError(f"{path}: tensor {name!r} has shape {entry['shape']} at offset "
+                                     f"{entry['offset']}, not {list(p.data.shape)} at {offset}")
+                dtype = np.dtype(entry["dtype"])
+                raw = p.data if dtype == p.data.dtype else np.empty(p.data.shape, dtype)
+                offset += raw.nbytes
+                if f.readinto(raw) != raw.nbytes:
+                    raise ValueError(f"{path}: tensor {name!r} runs past the end of the payload")
+                if raw is not p.data:
+                    p.data[...] = raw
+            if f.read(1):
+                raise ValueError(f"{path}: the payload is longer than its {offset}-byte manifest")
         return model
 
     def state_snapshot(self):
@@ -285,7 +280,7 @@ class SequentialRecommender:
 
     def load_snapshot(self, snapshot):
         for name, p in self.params.items():
-            p.data = np.array(snapshot[name], copy=True)
+            np.copyto(p.data, snapshot[name])
 
 
 def l2_penalty(params):

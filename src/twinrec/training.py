@@ -161,7 +161,6 @@ class TrainResult:
     history: list          # rows of (epoch, loss, val_ndcg10, seconds)
     best_epoch: int
     best_val_ndcg10: float
-    best_state: dict       # parameter snapshot at the best validation score
 
 
 def train(model, samples, config, val_sequences=None, ctx_vocab=None,
@@ -170,7 +169,8 @@ def train(model, samples, config, val_sequences=None, ctx_vocab=None,
 
     After each epoch validation nDCG@10 is computed (when validation data is
     given) and training stops once it has not improved for ``patience``
-    epochs. The returned best snapshot is loaded back into the model.
+    epochs. A copy of the parameters is taken at each improvement and loaded
+    back into the model at the end; without validation no copy is taken.
     """
     import time
 
@@ -181,7 +181,7 @@ def train(model, samples, config, val_sequences=None, ctx_vocab=None,
     history = []
     best_ndcg = -1.0
     best_epoch = -1
-    best_state = model.state_snapshot()
+    best_state = None
     since_best = 0
     order = np.arange(len(samples))
     for epoch in range(config.epochs):
@@ -221,12 +221,11 @@ def train(model, samples, config, val_sequences=None, ctx_vocab=None,
             progress(epoch, epoch_loss, val_ndcg, seconds)
         if val_sequences is not None and since_best >= config.patience:
             break
-    if val_sequences is not None:
+    if best_state is not None:
         model.load_snapshot(best_state)
-    else:
-        best_state = model.state_snapshot()
+    if val_sequences is None:
         best_epoch = config.epochs - 1
-    return TrainResult(history, best_epoch, best_ndcg, best_state)
+    return TrainResult(history, best_epoch, best_ndcg)
 
 
 def export_attention(model, items, ctx_indices, last_k=10):

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -254,6 +255,41 @@ class TestPipeline:
         assert len(err) == 1 and err[0].startswith("error:")
         assert str(path) in err[0] and message in err[0]
         assert not (ws / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("name,pattern,repl,where", [
+        ("sequences.json", r'"items":\[\d+', '"items":[1000000', "'u0'"),
+        ("sequences.json", r'"hours":\[[\d,]*\],', "", "'u0'"),
+        ("sequences.json", r'"hours":\[\d+', '"hours":[99', "'u0'"),
+        ("item_vocab.tsv", r"\t0\t", "\t1\t", "line 1"),
+        ("item_vocab.tsv", r"\t0\t", "\tzero\t", "line 1"),
+    ], ids=["item_1e6", "no_hours", "hour_99", "index_1_twice", "index_zero_word"])
+    def test_bad_workspace_file_is_one_error_line(self, workspace, capsys, name, pattern, repl,
+                                                  where):
+        ws, log = workspace
+        args = SMALL + ["--set", "epochs=1", "--set", f"data={log}"]
+        assert main(["prepare-data"] + args) == 0
+        assert main(["train"] + args) == 0
+        path = ws / name
+        text, n = re.subn(pattern, repl, path.read_text(), count=1)
+        assert n == 1
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["evaluate"] + args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(path) in err[0] and where in err[0]
+        assert not list(ws.glob("metrics_*.json"))
+
+    def test_categories_past_the_stored_count_still_load(self, workspace, capsys):
+        # Item A is first seen in category X, so Y (index 2) is no item's
+        # category: item_vocab.tsv stores two categories, sequences use 3.
+        ws, log = workspace
+        rows = [("A", "X"), ("A", "Y"), ("B", "Z"), ("B", "Z"), ("C", "Z")]
+        log.write_text("".join(f"u{u}\t{item}\t{cat}\t{5 * u + k}\n"
+                               for u in range(6) for k, (item, cat) in enumerate(rows)))
+        assert main(["prepare-data", "--set", f"data={log}"]) == 0
+        assert max(max(r["cats"]) for r in json.loads((ws / "sequences.json").read_text())) == 3
+        assert main(["count-params", "--set", "dim=8"]) == 0
 
     @pytest.mark.parametrize("command", ["evaluate", "export-attention"])
     def test_checkpoint_of_other_vocab_is_one_error_line(self, workspace, capsys, command):

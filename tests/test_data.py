@@ -1,3 +1,4 @@
+import json
 import os
 import tempfile
 
@@ -340,6 +341,25 @@ class TestArtifacts:
         loaded = load_sequences(path)
         assert [(s.user, s.items) for s in loaded] == [(s.user, s.items) for s in seqs]
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"user": "u0"}, "expected a list"),
+        ([["u0"]], "record 0 has no string user"),
+        ([{"user": 7, "items": [0], "cats": [1], "hours": [0]}], "record 0 has no string user"),
+        ([{"user": "u0", "items": [0.0], "cats": [1], "hours": [0]}], "'u0' needs items"),
+        ([{"user": "u0", "items": [True], "cats": [1], "hours": [0]}], "'u0' needs items"),
+        ([{"user": "u0", "items": [0, 1], "cats": [1], "hours": [0]}], "'u0' has items"),
+        ([{"user": "u0", "items": [-1], "cats": [1], "hours": [0]}], "'u0' needs items from 0"),
+        ([{"user": "u0", "items": [0], "cats": [0], "hours": [0]}], "'u0' needs items from 0"),
+        ([{"user": "u0", "items": [0], "cats": [1], "hours": [24]}], "'u0' needs items from 0"),
+    ], ids=["dict", "list_record", "int_user", "float_item", "bool_item", "lengths",
+            "negative_item", "category_0", "hour_24"])
+    def test_malformed_sequence_record_rejected(self, tmp_path, doc, message):
+        path = tmp_path / "sequences.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match=message) as info:
+            load_sequences(path)
+        assert str(path) in str(info.value)
+
     def test_item_vocab_roundtrip(self, tmp_path):
         vocab, _ = build_sequences(parse(dense_log()))
         path = tmp_path / "items.tsv"
@@ -359,6 +379,20 @@ class TestArtifacts:
         path.write_text("a\t0\t1\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1"):
             ItemVocab.load(path)
+
+    @pytest.mark.parametrize("text,message", [
+        ("a\t0\t1\tx\nb\t2\t1\tx\n", "line 2 gives item 'b' index 2"),
+        ("a\t1\t1\tx\nb\t0\t1\tx\n", "line 1 gives item 'a' index 1"),
+        ("a\t0\t0\tx\n", "line 1 gives item 'a' index 0 and category 0"),
+        ("a\t0\t1\tx\na\t1\t1\tx\n", "line 2 gives item 'a' index 1"),
+        ("a\t0\tone\tx\n", "line 1 has a non-integer"),
+    ], ids=["gap", "out_of_order", "category_0", "repeated_item", "word_category"])
+    def test_malformed_item_vocab_rejected(self, tmp_path, text, message):
+        path = tmp_path / "items.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message) as info:
+            ItemVocab.load(path)
+        assert str(path) in str(info.value)
 
     def test_failed_save_keeps_old_file(self, tmp_path):
         path = tmp_path / "sequences.json"

@@ -11,13 +11,12 @@ from twinrec.embedding import (ContextVocab, EmbeddingParams, PAD_CATEGORY,
                                fuse_dynamic, fuse_static, lookup_bases)
 
 
-def make_params(rng, sizes, vocab_size, dim, n_contexts=6, dynamic=True):
+def make_params(rng, sizes, dim, n_contexts=6, dynamic=True):
     def mat(shape):
         return Tensor(rng.standard_normal(shape), requires_grad=True)
     return EmbeddingParams(
         tables=[mat((m, dim)) for m in sizes],
         sizes=list(sizes),
-        vocab_size=vocab_size,
         context_table=mat((n_contexts, dim)),
         w_att=mat((dim, dim)) if dynamic else None,
         w_mix=mat((2 * dim, dim)),
@@ -62,14 +61,14 @@ class TestDecompose:
 class TestLookup:
     def test_degenerate_full_table(self):
         rng = np.random.default_rng(0)
-        params = make_params(rng, [10], vocab_size=10, dim=4)
+        params = make_params(rng, [10], dim=4)
         rows = lookup_bases(params, np.array([7]))
         assert len(rows) == 1
         np.testing.assert_array_equal(rows[0].data[0], params.tables[0].data[7])
 
     def test_rows_follow_decomposition(self):
         rng = np.random.default_rng(1)
-        params = make_params(rng, [2, 8], vocab_size=16, dim=4)
+        params = make_params(rng, [2, 8], dim=4)
         rows = lookup_bases(params, np.array([7]))
         np.testing.assert_array_equal(rows[0].data[0], params.tables[0].data[1])
         np.testing.assert_array_equal(rows[1].data[0], params.tables[1].data[3])
@@ -125,7 +124,7 @@ class TestContextVocab:
 class TestFusion:
     def test_singleton_softmax(self):
         rng = np.random.default_rng(2)
-        params = make_params(rng, [5], vocab_size=5, dim=4)
+        params = make_params(rng, [5], dim=4)
         base = lookup_bases(params, np.array([3]))
         ctx = Tensor(rng.standard_normal((1, 4)))
         fused, alphas = fuse_dynamic(base, ctx, params.w_att)
@@ -134,7 +133,7 @@ class TestFusion:
 
     def test_equal_bases_passthrough(self):
         rng = np.random.default_rng(3)
-        params = make_params(rng, [4, 4], vocab_size=16, dim=4)
+        params = make_params(rng, [4, 4], dim=4)
         e = Tensor(rng.standard_normal((2, 4)))
         ctx = Tensor(rng.standard_normal((2, 4)))
         fused, alphas = fuse_dynamic([e, e], ctx, params.w_att)
@@ -145,7 +144,7 @@ class TestFusion:
         # hand-rolled reimplementation of the attention-weighted sum
         rng = np.random.default_rng(4)
         with use_dtype(np.float64):
-            params = make_params(rng, [3, 5], vocab_size=15, dim=4)
+            params = make_params(rng, [3, 5], dim=4)
             bases = lookup_bases(params, np.array([2, 9, 14]))
             ctx = Tensor(rng.standard_normal((3, 4)))
             fused, alphas = fuse_dynamic(bases, ctx, params.w_att)
@@ -164,7 +163,7 @@ class TestFusion:
 
     def test_weights_are_probability_vectors(self):
         rng = np.random.default_rng(5)
-        params = make_params(rng, [2, 3, 4], vocab_size=24, dim=6)
+        params = make_params(rng, [2, 3, 4], dim=6)
         bases = lookup_bases(params, rng.integers(0, 24, size=8))
         ctx = Tensor(rng.standard_normal((8, 6)) * 10)
         _, alphas = fuse_dynamic(bases, ctx, params.w_att)
@@ -209,20 +208,20 @@ class TestContextualize:
 class TestEmbedSequence:
     def test_single_item(self):
         rng = np.random.default_rng(7)
-        params = make_params(rng, [2, 5], vocab_size=10, dim=4)
+        params = make_params(rng, [2, 5], dim=4)
         h, _ = embed_sequence([3], [1], params)
         assert h.data.shape == (1, 4)
 
     def test_all_padding_is_zero(self):
         rng = np.random.default_rng(8)
-        params = make_params(rng, [2, 5], vocab_size=10, dim=4)
+        params = make_params(rng, [2, 5], dim=4)
         h, _ = embed_sequence([PAD_ITEM, PAD_ITEM], [0, 0], params)
         np.testing.assert_array_equal(h.data, np.zeros((2, 4)))
 
     def test_rows_match_per_item_pipeline(self):
         rng = np.random.default_rng(9)
         with use_dtype(np.float64):
-            params = make_params(rng, [3, 4], vocab_size=12, dim=4)
+            params = make_params(rng, [3, 4], dim=4)
             items = [2, 7, 11]
             ctxs = [1, 4, 2]
             h, _ = embed_sequence(items, ctxs, params)
@@ -232,7 +231,7 @@ class TestEmbedSequence:
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(10)
-        params = make_params(rng, [2, 5], vocab_size=10, dim=4)
+        params = make_params(rng, [2, 5], dim=4)
         with pytest.raises(ValueError):
             embed_sequence([1, 2], [0], params)
 
@@ -240,11 +239,11 @@ class TestEmbedSequence:
         # permuting tables with the decomposition order leaves h unchanged
         rng = np.random.default_rng(11)
         with use_dtype(np.float64):
-            params = make_params(rng, [3, 4], vocab_size=12, dim=4)
+            params = make_params(rng, [3, 4], dim=4)
             h, _ = embed_sequence([5, 9], [1, 2], params)
             swapped = EmbeddingParams(
                 tables=[params.tables[1], params.tables[0]],
-                sizes=[4, 3], vocab_size=12,
+                sizes=[4, 3],
                 context_table=params.context_table,
                 w_att=params.w_att, w_mix=params.w_mix, b_mix=params.b_mix)
             # items whose (q, r) tuples swap roles: find indices mapping to the

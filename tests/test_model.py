@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,3 +418,58 @@ class TestCheckpoint:
         path.write_bytes(b'{"magic": "nope"}\n')
         with pytest.raises(ValueError):
             SequentialRecommender.load(path)
+
+    def test_swapped_manifest_order_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+
+        def swap(header):
+            tensors = header["tensors"]
+            tensors[0], tensors[1] = tensors[1], tensors[0]
+        self.rewrite(path, swap)
+        with pytest.raises(ValueError, match="emb.table[01]"):
+            SequentialRecommender.load(path)
+
+    def test_extra_empty_tensor_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        extra = {"name": "extra", "dtype": "<f4", "shape": [0], "offset": 0}
+        self.rewrite(path, lambda h: h["tensors"].append(extra))
+        with pytest.raises(ValueError, match="extra"):
+            SequentialRecommender.load(path)
+
+    def test_float64_checkpoint_loads_into_float32_model(self, tmp_path):
+        with use_dtype(np.float64):
+            model = SequentialRecommender(tiny_config(), seed=22)
+        path = tmp_path / "ckpt.bin"
+        model.save(path)
+        loaded = SequentialRecommender.load(path)
+        for name, p in loaded.params.items():
+            assert p.data.dtype == np.float32
+            np.testing.assert_array_equal(p.data, model.params[name].data.astype(np.float32))
+
+    def test_load_peaks_no_higher_than_construction(self, tmp_path):
+        # out.w alone is 64 x 20000 float32 values, 5.1 MB.
+        config = tiny_config(vocab_size=20_000, dim=64, n_contexts=10)
+        path = tmp_path / "ckpt.bin"
+        SequentialRecommender(config, seed=19).save(path)
+        assert path.stat().st_size >= 5 << 20
+        peaks = []
+        for build in (lambda: SequentialRecommender(config, seed=19),
+                      lambda: SequentialRecommender.load(path)):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                model = build()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del model
+        assert peaks[1] <= peaks[0] + (1 << 20)
+
+    def test_load_snapshot_writes_into_the_existing_arrays(self):
+        model = SequentialRecommender(tiny_config(), seed=20)
+        snapshot = SequentialRecommender(tiny_config(), seed=21).state_snapshot()
+        arrays = {name: p.data for name, p in model.params.items()}
+        model.load_snapshot(snapshot)
+        for name, p in model.params.items():
+            assert p.data is arrays[name]
+            np.testing.assert_array_equal(p.data, snapshot[name])

@@ -247,6 +247,29 @@ class TestTrain:
         report = evaluate(model, seqs, ctx_vocab, "val", ks=(10,))
         assert report.ndcg[10] == pytest.approx(result.best_val_ndcg10)
 
+    @staticmethod
+    def count_snapshots(monkeypatch):
+        calls = []
+        take = SequentialRecommender.state_snapshot
+        monkeypatch.setattr(SequentialRecommender, "state_snapshot",
+                            lambda self: calls.append(1) or take(self))
+        return calls
+
+    def test_no_parameter_copy_without_validation(self, monkeypatch):
+        model, samples, _, _ = tiny_setup(seed=8)
+        calls = self.count_snapshots(monkeypatch)
+        result = train(model, samples, TrainConfig(batch_size=16, epochs=2, seed=0))
+        assert calls == [] and result.best_epoch == 1
+
+    def test_one_parameter_copy_per_improving_epoch(self, monkeypatch):
+        model, samples, seqs, ctx_vocab = tiny_setup(seed=9)
+        calls = self.count_snapshots(monkeypatch)
+        result = train(model, samples, TrainConfig(batch_size=16, epochs=6, seed=2, patience=6),
+                       val_sequences=seqs, ctx_vocab=ctx_vocab)
+        scores = [row[2] for row in result.history]
+        improving = sum(score > max(scores[:k], default=-1.0) for k, score in enumerate(scores))
+        assert len(calls) == improving >= 1
+
 
 class TestEvaluate:
     def test_report_shape(self):
