@@ -292,19 +292,6 @@ def save_sequences(sequences, path):
         json.dump(doc, f, sort_keys=True, separators=(",", ":"))
 
 
-def _record_fault(d):
-    """What is wrong with one ``sequences.json`` record, or None."""
-    columns = [d.get(key) for key in ("items", "cats", "hours")]
-    if not all(isinstance(c, list) and all(type(x) is int for x in c) for c in columns):
-        return "needs items, cats and hours lists of integers"
-    items, cats, hours = columns
-    if not len(items) == len(cats) == len(hours):
-        return "has items, cats and hours of different lengths"
-    if items and (min(items) < 0 or min(cats) < 1 or min(hours) < 0 or max(hours) > 23):
-        return "needs items from 0, categories from 1 and hours in 0..23"
-    return None
-
-
 def load_sequences(path):
     """Read a file ``save_sequences`` wrote, checking each record as it is built."""
     with open(path, encoding="utf-8") as f:
@@ -315,8 +302,14 @@ def load_sequences(path):
     for k, d in enumerate(doc):
         if not isinstance(d, dict) or not isinstance(d.get("user"), str):
             raise ValueError(f"{path}: record {k} has no string user")
-        fault = _record_fault(d)
-        if fault:
-            raise ValueError(f"{path}: user {d['user']!r} {fault}")
-        sequences.append(UserSequence(d["user"], d["items"], d["cats"], d["hours"]))
+        user, columns = d["user"], [d.get(key) for key in ("items", "cats", "hours")]
+        if not all(isinstance(c, list) and all(type(x) is int for x in c) for c in columns):
+            raise ValueError(f"{path}: user {user!r} needs items, cats and hours lists of integers")
+        items, cats, hours = columns
+        if not len(items) == len(cats) == len(hours):
+            raise ValueError(f"{path}: user {user!r} has items, cats and hours of different lengths")
+        if items and (min(items) < 0 or min(cats) < 1 or min(hours) < 0 or max(hours) > 23):
+            raise ValueError(f"{path}: user {user!r} needs items from 0, categories from 1 "
+                             f"and hours in 0..23")
+        sequences.append(UserSequence(user, items, cats, hours))
     return sequences
