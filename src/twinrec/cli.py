@@ -10,6 +10,7 @@ resolved config hash.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -41,13 +42,18 @@ def _load_workspace(cfg):
             raise FileNotFoundError(f"{ws / name} missing; run prepare-data first")
     sequences = datamod.load_sequences(ws / "sequences.json")
     vocab = datamod.ItemVocab.load(ws / "item_vocab.tsv")
-    top_category = max(vocab.item_category, default=0)
     for seq in sequences:
-        if seq.items and (max(seq.items) >= vocab.n_items or max(seq.cats) > top_category):
+        if seq.items and (max(seq.items) >= vocab.n_items or max(seq.cats) > vocab.n_categories):
             raise ValueError(f"{ws / 'sequences.json'}: user {seq.user!r} has an item or "
                              f"category that {ws / 'item_vocab.tsv'} does not list")
     ctx_vocab = ContextVocab.load(ws / "context_vocab.tsv")
     return ws, sequences, vocab, ctx_vocab
+
+
+def _vocab_digest(ws):
+    """SHA-256 over the SHA-256 digests of the workspace's item and context vocabularies."""
+    return hashlib.sha256(b"".join(hashlib.sha256((ws / name).read_bytes()).digest()
+                                   for name in ("item_vocab.tsv", "context_vocab.tsv"))).hexdigest()
 
 
 def _load_checkpoint(ws, vocab, ctx_vocab):
@@ -58,6 +64,9 @@ def _load_checkpoint(ws, vocab, ctx_vocab):
         raise ValueError(f"{ws / 'checkpoint.bin'} was trained on {mc.vocab_size} items and "
                          f"{mc.n_contexts} contexts, but the workspace has {vocab.n_items} "
                          f"items and {ctx_vocab.size} contexts; run train again")
+    if model.vocab_digest != _vocab_digest(ws):
+        raise ValueError(f"{ws / 'checkpoint.bin'} records no digest, or another digest, of the "
+                         f"workspace's item and context vocabularies; run train again")
     return model
 
 
@@ -100,6 +109,7 @@ def cmd_prepare_data(cfg):
 
 def cmd_train(cfg):
     ws, sequences, vocab, ctx_vocab = _load_workspace(cfg)
+    digest = _vocab_digest(ws)
     model = SequentialRecommender(
         model_config(cfg, vocab.n_items, ctx_vocab.size), seed=cfg["seed"])
     samples = _all_samples(sequences, ctx_vocab, cfg["max_len"])
@@ -108,7 +118,7 @@ def cmd_train(cfg):
         model, samples, tc, val_sequences=sequences, ctx_vocab=ctx_vocab,
         progress=lambda e, loss, ndcg, s: print(
             f"epoch {e}: loss {loss:.4f} val_ndcg10 {ndcg:.4f} ({s:.1f}s)"))
-    model.save(ws / "checkpoint.bin")
+    model.save(ws / "checkpoint.bin", vocab_digest=digest)
     with atomic_write(ws / "train_log.csv") as f:
         f.write(f"# config_hash={config_hash(cfg)}\n")
         f.write("epoch,loss,val_ndcg10,seconds\n")

@@ -55,11 +55,7 @@ class ItemVocab:
         return len(self.category_index)
 
     def save(self, path):
-        """One row per item: raw item, index, category index, raw category.
-
-        A category that is no item's category (its items were first seen
-        under another) is not stored.
-        """
+        """One row per item: raw item, index, category index, raw category."""
         inverse = {v: k for k, v in self.item_index.items()}
         names = {v: k for k, v in self.category_index.items()}
         with atomic_write(path) as f:
@@ -69,7 +65,8 @@ class ItemVocab:
 
     @classmethod
     def load(cls, path):
-        """Read a file ``save`` wrote: distinct items numbered 0.. in file order, categories from 1."""
+        """Read a file ``save`` wrote: distinct items numbered 0.. in file order, and one
+        number per category name, new names numbered 1.. in file order."""
         vocab = cls()
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
@@ -85,14 +82,15 @@ class ItemVocab:
                 except ValueError:
                     raise ValueError(f"{path}: line {lineno} has a non-integer index or "
                                      f"category; run prepare-data again") from None
-                if idx != vocab.n_items or cat < 1 or raw in vocab.item_index:
+                if (idx != vocab.n_items or raw in vocab.item_index
+                        or cat != vocab.category_index.get(name, vocab.n_categories + 1)):
                     raise ValueError(f"{path}: line {lineno} gives item {raw!r} index {idx} and "
-                                     f"category {cat}; indices must number distinct items 0.. "
-                                     f"in file order and categories start at 1")
+                                     f"category {cat} ({name!r}); indices must number distinct "
+                                     f"items 0.. and categories 1.. in file order, one number "
+                                     f"per category; run prepare-data again")
                 vocab.item_index[raw] = idx
                 vocab.item_category.append(cat)
                 vocab.category_index[name] = cat
-        vocab.category_index = dict(sorted(vocab.category_index.items(), key=lambda kv: kv[1]))
         return vocab
 
 
@@ -173,9 +171,9 @@ def build_sequences(log):
     """5-core filter, per-user chronological ordering, vocab assignment.
 
     Returns (ItemVocab, list of UserSequence). Users and, within a user,
-    timestamp ties keep file order; item/category indices follow first
-    appearance in the filtered, ordered stream, and an item's category is
-    the one on its first row there.
+    timestamp ties keep file order; item indices follow first appearance in
+    the filtered, ordered stream, and an item's category is the one on its
+    first row there. Categories are numbered 1.. among items, in item order.
     """
     if not len(log):
         raise ValueError("no interactions to process")
@@ -186,10 +184,11 @@ def build_sequences(log):
     user_order, _ = _first_seen(users[rows])
     rows = rows[np.lexsort((log.timestamps[rows], user_order))]  # stable: ties keep file order
     item_of, item_first = _first_seen(items[rows])
-    cat_of, cat_first = _first_seen(cats[rows])
-    item_cat = cat_of[item_first] + 1  # 0 = PAD
-    vocab = ItemVocab({log.names[1][c]: k for k, c in enumerate(items[rows[item_first]].tolist())},
-                      {log.names[2][c]: k for k, c in enumerate(cats[rows[cat_first]].tolist(), 1)},
+    first = rows[item_first]  # each item's first row, in item order
+    cat_of, cat_item = _first_seen(cats[first])
+    item_cat = cat_of + 1  # 0 = PAD
+    vocab = ItemVocab({log.names[1][c]: k for k, c in enumerate(items[first].tolist())},
+                      {log.names[2][c]: k for k, c in enumerate(cats[first[cat_item]].tolist(), 1)},
                       item_cat.tolist())
     seq_items, seq_cats = item_of.tolist(), item_cat[item_of].tolist()
     hours = (log.timestamps[rows] // 3600 % 24).tolist()

@@ -29,15 +29,6 @@ PAD_CATEGORY = 0
 UNK_CONTEXT = 0
 
 
-def check_capacity(vocab_size, sizes):
-    if not sizes or any(m < 1 for m in sizes):
-        raise ValueError(f"invalid base table sizes {sizes}")
-    if math.prod(sizes) < vocab_size:
-        raise ValueError(
-            f"base tables {sizes} cover {math.prod(sizes)} combinations, "
-            f"need at least {vocab_size}")
-
-
 def decompose_index(g, sizes):
     """Map a global item index to one row index per base table.
 
@@ -117,11 +108,11 @@ class ContextVocab:
 class EmbeddingParams:
     """Trainable state of the embedding layer.
 
-    ``w_att`` is None for the variant that replaces dynamic fusion with a
-    plain sum of base embeddings.
+    Table n's row count is its size m_n in the decomposition. ``w_att`` is
+    None for the variant that replaces dynamic fusion with a plain sum of
+    base embeddings.
     """
-    tables: list          # N tensors, table n of shape (m_n, D)
-    sizes: list           # [m_1 .. m_N]
+    tables: list           # N tensors, table n of shape (m_n, D)
     context_table: Tensor  # (n_contexts, D)
     w_att: Tensor | None   # (D, D)
     w_mix: Tensor          # (2D, D)
@@ -130,7 +121,7 @@ class EmbeddingParams:
 
 def lookup_bases(params, item_indices):
     """Base rows for items of shape (..., T): list of N (..., T, D) tensors."""
-    per_table = decompose_indices(item_indices, params.sizes)
+    per_table = decompose_indices(item_indices, [t.data.shape[0] for t in params.tables])
     return [tbl[idx] for tbl, idx in zip(params.tables, per_table)]
 
 
@@ -163,9 +154,10 @@ def contextualize(fused, ctx_emb, w_mix, b_mix):
     return (concat([fused, ctx_emb], axis=-1) @ w_mix + b_mix).silu()
 
 
-def embed_sequence(item_indices, ctx_indices, params, dynamic=True):
+def embed_sequence(item_indices, ctx_indices, params):
     """Compositional embeddings of items (..., T): a (..., T, D) tensor.
 
+    Fusion is dynamic unless ``params.w_att`` is None, and then static.
     Positions holding the padding sentinel yield exact zero rows.
     Returns (H, alphas) where alphas is None for static fusion.
     """
@@ -179,9 +171,9 @@ def embed_sequence(item_indices, ctx_indices, params, dynamic=True):
     safe_items = np.where(valid, items, 0)
     bases = lookup_bases(params, safe_items)
     ctx_emb = params.context_table[np.where(valid, ctxs, UNK_CONTEXT)]
-    if dynamic:
-        fused, alphas = fuse_dynamic(bases, ctx_emb, params.w_att)
-    else:
+    if params.w_att is None:
         fused, alphas = fuse_static(bases), None
+    else:
+        fused, alphas = fuse_dynamic(bases, ctx_emb, params.w_att)
     h = contextualize(fused, ctx_emb, params.w_mix, params.b_mix)
     return h * Tensor(valid[..., None]), alphas

@@ -7,41 +7,19 @@ dot-product self-attention (O(3D^2) per head). With H heads per branch the
 outputs are concatenated along the feature axis into a (T, 2HD) matrix,
 convolution heads first. Every function works on the trailing (T, D) axes
 under any leading batch shape.
-"""
+
+The functions take parameter tensors: a conv head is its (L, D) kernel, an
+attention head a ``(w_q, w_k, w_v)`` triple of (D, D) matrices, and the
+position table a (T_max, D) tensor whose row t serves position t only; L
+and T_max are read from those shapes."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, concat
-
-
-@dataclass
-class ConvHead:
-    kernels: Tensor  # (L, D): one length-L kernel per channel
-
-    @property
-    def window(self):
-        return self.kernels.data.shape[0]
-
-
-@dataclass
-class AttnHead:
-    w_q: Tensor  # (D, D)
-    w_k: Tensor  # (D, D)
-    w_v: Tensor  # (D, D)
-
-
-@dataclass
-class PositionTable:
-    table: Tensor  # (T_max, D); row t serves position t only
-
-    @property
-    def max_len(self):
-        return self.table.data.shape[0]
 
 
 def _correlate(x, kernels):
@@ -51,12 +29,11 @@ def _correlate(x, kernels):
     return sum(xp[..., j:j + t, :] * kernels[j] for j in range(length)), xp
 
 
-def conv_branch(h, head):
-    """Depthwise 1-D convolution over (..., T, D), centred window, zero padding at the ends.
+def conv_branch(h, kernels):
+    """Depthwise 1-D convolution of (..., T, D) by (L, D) kernels: centred window, zero padding.
 
     One graph node; its backward correlates the gradient with the flipped kernels.
     """
-    kernels = head.kernels
     data, padded = _correlate(h.data, kernels.data)
     out = Tensor._result(data, (h, kernels))
     if out.requires_grad:
@@ -66,7 +43,7 @@ def conv_branch(h, head):
             if kernels.requires_grad:
                 t, d = g.shape[-2:]
                 kernels._accum(np.stack([(g * padded[..., j:j + t, :]).reshape(-1, d).sum(axis=0)
-                                         for j in range(head.window)]))
+                                         for j in range(len(kernels.data))]))
         out._backward = bw
     return out
 
@@ -78,16 +55,16 @@ def attn_branch(h, positions, head, n_heads, valid_mask=None):
     by how training samples are constructed. Padded positions, when given
     via ``valid_mask``, are excluded as attention targets.
 
-    Works on (..., T, D); ``valid_mask`` has shape (..., T).
+    ``head`` is the ``(w_q, w_k, w_v)`` triple and ``positions`` the (T_max, D)
+    position table. Works on (..., T, D); ``valid_mask`` has shape (..., T).
     Returns (output (..., T, D), attention weights (..., T, T)).
     """
     t, d = h.data.shape[-2:]
-    if t > positions.max_len:
-        raise ValueError(f"sequence length {t} exceeds position table {positions.max_len}")
-    ht = h + positions.table[:t]
-    q = ht @ head.w_q.transpose()
-    k = ht @ head.w_k.transpose()
-    v = ht @ head.w_v.transpose()
+    max_len = positions.data.shape[0]
+    if t > max_len:
+        raise ValueError(f"sequence length {t} exceeds position table {max_len}")
+    ht = h + positions[:t]
+    q, k, v = (ht @ w.transpose() for w in head)
     scale = 1.0 / math.sqrt(d / n_heads)
     logits = (q @ k.transpose()) * scale
     mask = None if valid_mask is None else np.asarray(valid_mask, dtype=bool)[..., None, :]
@@ -95,20 +72,17 @@ def attn_branch(h, positions, head, n_heads, valid_mask=None):
     return weights @ v, weights
 
 
-def twin_forward(h, conv_heads, attn_heads, positions, valid_mask=None):
+def twin_forward(h, kernels, attn_heads, positions, valid_mask=None):
     """Run all heads and concatenate along features: conv heads first.
 
     Returns (output (..., T, 2HD), list of per-head attention weight tensors).
     """
-    outputs = [conv_branch(h, head) for head in conv_heads]
+    outputs = [conv_branch(h, k) for k in kernels]
     attn_weights = []
     for head in attn_heads:
         out, weights = attn_branch(h, positions, head, len(attn_heads), valid_mask)
         outputs.append(out)
         attn_weights.append(weights)
-    widths = {o.data.shape[-1] for o in outputs}
-    if len(widths) != 1:
-        raise ValueError(f"mismatched head output widths {sorted(widths)}")
     return concat(outputs, axis=-1), attn_weights
 
 

@@ -24,7 +24,7 @@ from . import autodiff
 from .atomic import atomic_write
 from .autodiff import BLOCK, Tensor
 from . import embedding as emb
-from .encoder import AttnHead, ConvHead, PositionTable, twin_forward
+from .encoder import twin_forward
 from .embedding import EmbeddingParams, PAD_ITEM, UNK_CONTEXT
 
 VARIANTS = ("full", "full_emb", "wo_dynamic", "plain_attn")
@@ -57,9 +57,7 @@ class ModelConfig:
 
     def table_sizes(self):
         """Base table sizes: N-1 tables of m1 rows, the last sized to cover |V|."""
-        if self.variant == "full_emb":
-            return [self.vocab_size]
-        if self.n_tables == 1:
+        if self.variant == "full_emb" or self.n_tables == 1:
             return [self.vocab_size]
         head = [self.m1] * (self.n_tables - 1)
         rest = math.ceil(self.vocab_size / math.prod(head))
@@ -79,8 +77,6 @@ class SequentialRecommender:
         self.seed = seed
         self.params = {}
         d = config.dim
-        sizes = config.table_sizes()
-        emb.check_capacity(config.vocab_size, sizes)
 
         def new_param(name, shape, zero=False):
             # Each tensor draws from its own name-keyed stream so variants
@@ -94,32 +90,28 @@ class SequentialRecommender:
             self.params[name] = t
             return t
 
-        tables = [new_param(f"emb.table{n}", (m, d)) for n, m in enumerate(sizes)]
+        tables = [new_param(f"emb.table{n}", (m, d)) for n, m in enumerate(config.table_sizes())]
         context_table = new_param("emb.context", (config.n_contexts, d))
-        dynamic = config.variant != "wo_dynamic"
-        w_att = new_param("fusion.w_att", (d, d)) if dynamic else None
+        w_att = None if config.variant == "wo_dynamic" else new_param("fusion.w_att", (d, d))
         w_mix = new_param("fusion.w_mix", (2 * d, d))
         b_mix = new_param("fusion.b_mix", (d,), zero=True)
-        self.embedding = EmbeddingParams(tables, sizes, context_table, w_att, w_mix, b_mix)
-        self.dynamic_fusion = dynamic
+        self.embedding = EmbeddingParams(tables, context_table, w_att, w_mix, b_mix)
 
         n_conv = 0 if config.variant == "plain_attn" else config.n_heads
         n_attn = 2 * config.n_heads - n_conv
         width = (n_conv + n_attn) * d
         self.layers = []
         for l in range(config.n_layers):
-            conv_heads = [ConvHead(new_param(f"enc{l}.conv{h}.kernel", (config.kernel_size, d)))
-                          for h in range(n_conv)]
-            attn_heads = [AttnHead(new_param(f"enc{l}.attn{h}.wq", (d, d)),
-                                   new_param(f"enc{l}.attn{h}.wk", (d, d)),
-                                   new_param(f"enc{l}.attn{h}.wv", (d, d)))
+            kernels = [new_param(f"enc{l}.conv{h}.kernel", (config.kernel_size, d))
+                       for h in range(n_conv)]
+            attn_heads = [tuple(new_param(f"enc{l}.attn{h}.w{x}", (d, d)) for x in "qkv")
                           for h in range(n_attn)]
-            positions = PositionTable(new_param(f"enc{l}.pos", (config.max_len, d)))
+            positions = new_param(f"enc{l}.pos", (config.max_len, d))
             ffn = (new_param(f"enc{l}.ffn.w1", (width, width)),
                    new_param(f"enc{l}.ffn.b1", (width,), zero=True),
                    new_param(f"enc{l}.ffn.w2", (width, d)),
                    new_param(f"enc{l}.ffn.b2", (d,), zero=True))
-            self.layers.append((conv_heads, attn_heads, positions, ffn))
+            self.layers.append((kernels, attn_heads, positions, ffn))
 
         new_param("out.w", (d, config.vocab_size))
         new_param("out.b", (config.vocab_size,), zero=True)
@@ -141,15 +133,14 @@ class SequentialRecommender:
         valid = items != PAD_ITEM
         if not valid.any(axis=-1).all():
             raise ValueError("sequence contains only padding")
-        h, alphas = emb.embed_sequence(items, ctx_indices, self.embedding,
-                                       dynamic=self.dynamic_fusion)
+        h, alphas = emb.embed_sequence(items, ctx_indices, self.embedding)
         attention = []
-        for l, (conv_heads, attn_heads, positions, (w1, b1, w2, b2)) in enumerate(self.layers):
+        for l, (kernels, attn_heads, positions, (w1, b1, w2, b2)) in enumerate(self.layers):
             if l:
                 # Padded rows must enter every layer as zeros, as they enter
                 # the first, or the conv taps read them into valid rows.
                 h = h * Tensor(valid[..., None])
-            twin, weights = twin_forward(h, conv_heads, attn_heads, positions, valid)
+            twin, weights = twin_forward(h, kernels, attn_heads, positions, valid)
             h = (twin @ w1 + b1).gelu() @ w2 + b2
             attention.append(weights)
         rows = valid.reshape(-1, t)
@@ -224,8 +215,8 @@ class SequentialRecommender:
 
     # -- persistence ----------------------------------------------------
 
-    def save(self, path):
-        """Write config + manifest + raw little-endian payload."""
+    def save(self, path, vocab_digest=None):
+        """Write config + manifest + raw little-endian payload, and ``vocab_digest`` if given."""
         manifest, raws, offset = [], [], 0
         for name, p in self.params.items():
             raw = np.ascontiguousarray(p.data, dtype="<f8" if p.data.dtype == np.float64 else "<f4")
@@ -239,6 +230,8 @@ class SequentialRecommender:
                   "config": asdict(self.config),
                   "seed": self.seed,
                   "tensors": manifest}
+        if vocab_digest is not None:
+            header["vocab_digest"] = vocab_digest
         with atomic_write(path, binary=True) as f:
             f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
             f.write(b"\n")
@@ -247,12 +240,16 @@ class SequentialRecommender:
 
     @classmethod
     def load(cls, path):
-        """Read each tensor, listed in the model's order and packed end to end, into the model."""
+        """Read each tensor, listed in the model's order and packed end to end, into the model.
+
+        The model's ``vocab_digest`` is the one ``save`` wrote, or None.
+        """
         with open(path, "rb") as f:
             header = json.loads(f.readline().decode("utf-8"))
             if header.get("magic") != CHECKPOINT_MAGIC:
                 raise ValueError(f"{path}: not a checkpoint file")
             model = cls(ModelConfig(**header["config"]), seed=header["seed"])
+            model.vocab_digest = header.get("vocab_digest")
             entries, offset = header["tensors"], 0
             if len(entries) > len(model.params):
                 raise ValueError(f"{path}: unknown tensor {entries[len(model.params)]['name']!r}")

@@ -16,8 +16,7 @@ from twinrec.cli import main as cli_main
 from twinrec.data import (UserSequence, build_context_vocab,
                           generate_training_samples)
 from twinrec.embedding import decompose_indices
-from twinrec.encoder import (AttnHead, ConvHead, PositionTable, attn_branch,
-                             conv_branch, count_branch_params)
+from twinrec.encoder import attn_branch, conv_branch, count_branch_params
 from twinrec.model import ModelConfig, SequentialRecommender, build_variant
 from twinrec.training import (Adam, TrainConfig, evaluate, rank_of,
                               ranking_metrics, train)
@@ -95,7 +94,7 @@ def test_criterion_5_oracle_equivalence():
         t, length, d = 7, 5, 4
         h = rng.standard_normal((t, d))
         kernels = rng.standard_normal((length, d))
-        out = conv_branch(Tensor(h), ConvHead(Tensor(kernels))).data
+        out = conv_branch(Tensor(h), Tensor(kernels)).data
         centre = (length + 1) // 2 - 1
         naive = np.zeros_like(h)
         for i in range(t):
@@ -106,11 +105,11 @@ def test_criterion_5_oracle_equivalence():
         ok = ok and np.allclose(out, naive, atol=1e-6)
 
         # attention vs explicit Q/K/V oracle
-        head = AttnHead(*(Tensor(rng.standard_normal((d, d))) for _ in range(3)))
-        pos = PositionTable(Tensor(rng.standard_normal((8, d))))
+        head = tuple(Tensor(rng.standard_normal((d, d))) for _ in range(3))
+        pos = Tensor(rng.standard_normal((8, d)))
         out, weights = attn_branch(Tensor(h), pos, head, n_heads=2)
-        ht = h + pos.table.data[:t]
-        q, k, v = ht @ head.w_q.data.T, ht @ head.w_k.data.T, ht @ head.w_v.data.T
+        ht = h + pos.data[:t]
+        q, k, v = (ht @ w.data.T for w in head)
         logits = q @ k.T / np.sqrt(d / 2)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         a = e / e.sum(axis=1, keepdims=True)
@@ -167,10 +166,10 @@ def test_criterion_6_probability_and_locality_suite():
     # conv locality: a perturbation at position i is invisible beyond floor(L/2)
     base = rng.standard_normal((11, 4))
     kernels = Tensor(rng.standard_normal((5, 4)))
-    before = conv_branch(Tensor(base), ConvHead(kernels)).data
+    before = conv_branch(Tensor(base), kernels).data
     bumped = base.copy()
     bumped[5] += 7.0
-    after = conv_branch(Tensor(bumped), ConvHead(kernels)).data
+    after = conv_branch(Tensor(bumped), kernels).data
     changed = np.any(before != after, axis=1)
     ok = ok and not any(changed[i] for i in range(11) if abs(i - 5) > 2)
     report(6, ok, "probability vectors normalised to 1e-6; conv locality exact")

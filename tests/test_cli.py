@@ -8,6 +8,7 @@ import pytest
 from twinrec.cli import main
 from twinrec.config import (SCHEMA, ConfigError, config_hash, load_config, model_config,
                             train_config)
+from twinrec.model import SequentialRecommender
 
 
 def make_log(path, n_users=10, n_items=12, length=10):
@@ -281,14 +282,15 @@ class TestPipeline:
         assert not list(ws.glob("metrics_*.json"))
 
     def test_categories_past_the_stored_count_still_load(self, workspace, capsys):
-        # Item A is first seen in category X, so Y (index 2) is no item's
-        # category: item_vocab.tsv stores two categories, sequences use 3.
+        # Item A is first seen in category X, so Y is no item's category and
+        # gets no number: the workspace numbers X and Z, 1 and 2.
         ws, log = workspace
         rows = [("A", "X"), ("A", "Y"), ("B", "Z"), ("B", "Z"), ("C", "Z")]
         log.write_text("".join(f"u{u}\t{item}\t{cat}\t{5 * u + k}\n"
                                for u in range(6) for k, (item, cat) in enumerate(rows)))
         assert main(["prepare-data", "--set", f"data={log}"]) == 0
-        assert max(max(r["cats"]) for r in json.loads((ws / "sequences.json").read_text())) == 3
+        assert max(max(r["cats"]) for r in json.loads((ws / "sequences.json").read_text())) == 2
+        assert json.loads((ws / "dataset_stats.json").read_text())["n_categories"] == 2
         assert main(["count-params", "--set", "dim=8"]) == 0
 
     @pytest.mark.parametrize("command", ["evaluate", "export-attention"])
@@ -308,6 +310,37 @@ class TestPipeline:
         assert "trained on 12 items" in err[0]
         assert f"workspace has 30 items and {n_contexts} contexts" in err[0]
         assert not list(ws.glob("metrics_*.json")) and not list(ws.glob("attention_*.csv"))
+
+    @pytest.mark.parametrize("command", ["evaluate", "export-attention"])
+    def test_checkpoint_of_renumbered_vocab_is_one_error_line(self, workspace, capsys, command):
+        # Same counts, other numbering: items renamed and the log's lines reversed.
+        ws, log = workspace
+        args = SMALL + ["--set", "epochs=1", "--set", f"data={log}"]
+        assert main(["prepare-data"] + args) == 0
+        assert main(["train"] + args) == 0
+        other = log.parent / "renamed.tsv"
+        other.write_text("".join(re.sub(r"\ti(\d+)\t", r"\tx\1\t", line) + "\n"
+                                 for line in reversed(log.read_text().splitlines())))
+        assert main(["prepare-data"] + SMALL + ["--set", f"data={other}"]) == 0
+        assert (ws / "item_vocab.tsv").read_text().startswith("x3\t0\t")  # i0 was item 0
+        capsys.readouterr()
+        assert main([command] + args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "item and context vocabularies; run train again" in err[0]
+        assert not list(ws.glob("metrics_*.json")) and not list(ws.glob("attention_*.csv"))
+
+    def test_checkpoint_without_vocab_digest_is_one_error_line(self, workspace, capsys):
+        ws, log = workspace
+        args = SMALL + ["--set", "epochs=1", "--set", f"data={log}"]
+        assert main(["prepare-data"] + args) == 0
+        assert main(["train"] + args) == 0
+        ckpt = ws / "checkpoint.bin"
+        SequentialRecommender.load(ckpt).save(ckpt)
+        capsys.readouterr()
+        assert main(["evaluate"] + args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "records no digest" in err[0]
 
     def test_ablate_writes_all_variants(self, workspace, capsys):
         ws, log = workspace

@@ -70,10 +70,9 @@ def naive_sequences(rows):
     for user, user_rows in by_user.items():
         items, cats, hours = [], [], []
         for ts, _, item, category in sorted(user_rows, key=lambda t: (t[0], t[1])):
-            cat_index.setdefault(category, len(cat_index) + 1)
             if item not in item_index:
                 item_index[item] = len(item_index)
-                item_cat[item] = cat_index[category]
+                item_cat[item] = cat_index.setdefault(category, len(cat_index) + 1)
             items.append(item_index[item])
             cats.append(item_cat[item])
             hours.append((ts // 3600) % 24)
@@ -369,6 +368,17 @@ class TestArtifacts:
         assert loaded.item_category == vocab.item_category
         assert loaded.category_index == vocab.category_index
 
+    def test_only_items_categories_are_numbered(self, tmp_path):
+        # Item a is first seen under X, so Y is no item's category.
+        rows = [(f"u{u}", item, cat, 10 * u + k) for u in range(5) for k, (item, cat)
+                in enumerate([("a", "X"), ("a", "Y"), ("b", "Z"), ("b", "Z"), ("c", "Z")])]
+        vocab, seqs = build_sequences(parse(rows))
+        assert vocab.category_index == {"X": 1, "Z": 2}
+        assert {c for s in seqs for c in s.cats} == {1, 2}
+        vocab.save(tmp_path / "items.tsv")
+        loaded = ItemVocab.load(tmp_path / "items.tsv")
+        assert loaded.n_categories == dataset_stats(vocab, seqs)["n_categories"] == 2
+
     def test_item_vocab_keeps_category_names(self, tmp_path):
         vocab = ItemVocab(item_index={"a": 0}, category_index={"books": 1}, item_category=[1])
         vocab.save(tmp_path / "items.tsv")
@@ -386,7 +396,11 @@ class TestArtifacts:
         ("a\t0\t0\tx\n", "line 1 gives item 'a' index 0 and category 0"),
         ("a\t0\t1\tx\na\t1\t1\tx\n", "line 2 gives item 'a' index 1"),
         ("a\t0\tone\tx\n", "line 1 has a non-integer"),
-    ], ids=["gap", "out_of_order", "category_0", "repeated_item", "word_category"])
+        ("a\t0\t2\tx\n", "line 1 gives item 'a' index 0 and category 2"),
+        ("a\t0\t1\tX\nb\t1\t1\tY\n", "line 2 gives item 'b' index 1 and category 1"),
+        ("a\t0\t1\tX\nb\t1\t2\tX\n", "line 2 gives item 'b' index 1 and category 2"),
+    ], ids=["gap", "out_of_order", "category_0", "repeated_item", "word_category",
+            "category_gap", "two_names_one_number", "one_name_two_numbers"])
     def test_malformed_item_vocab_rejected(self, tmp_path, text, message):
         path = tmp_path / "items.tsv"
         path.write_text(text, encoding="utf-8")

@@ -5,8 +5,7 @@ import pytest
 
 from twinrec.autodiff import Tensor, use_dtype
 from twinrec.embedding import (ContextVocab, EmbeddingParams, PAD_CATEGORY,
-                               PAD_ITEM, UNK_CONTEXT, check_capacity,
-                               contextualize, decompose_index,
+                               PAD_ITEM, UNK_CONTEXT, contextualize, decompose_index,
                                decompose_indices, embed_sequence,
                                fuse_dynamic, fuse_static, lookup_bases)
 
@@ -16,7 +15,6 @@ def make_params(rng, sizes, dim, n_contexts=6, dynamic=True):
         return Tensor(rng.standard_normal(shape), requires_grad=True)
     return EmbeddingParams(
         tables=[mat((m, dim)) for m in sizes],
-        sizes=list(sizes),
         context_table=mat((n_contexts, dim)),
         w_att=mat((dim, dim)) if dynamic else None,
         w_mix=mat((2 * dim, dim)),
@@ -37,11 +35,6 @@ class TestDecompose:
             decompose_index(16, [2, 8])
         with pytest.raises(IndexError):
             decompose_index(-1, [2, 8])
-
-    def test_capacity_check(self):
-        with pytest.raises(ValueError):
-            check_capacity(17, [2, 8])
-        check_capacity(16, [2, 8])
 
     def test_injective_over_full_vocab(self):
         # brute-force uniqueness scan over all indices
@@ -243,7 +236,6 @@ class TestEmbedSequence:
             h, _ = embed_sequence([5, 9], [1, 2], params)
             swapped = EmbeddingParams(
                 tables=[params.tables[1], params.tables[0]],
-                sizes=[4, 3],
                 context_table=params.context_table,
                 w_att=params.w_att, w_mix=params.w_mix, b_mix=params.b_mix)
             # items whose (q, r) tuples swap roles: find indices mapping to the

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from twinrec.autodiff import Tensor, use_dtype
-from twinrec.encoder import (AttnHead, ConvHead, PositionTable, attn_branch,
-                             conv_branch, count_branch_params, twin_forward)
+from twinrec.encoder import attn_branch, conv_branch, count_branch_params, twin_forward
 
 
 def naive_conv(h, kernels):
@@ -38,12 +37,12 @@ class TestConvBranch:
         h = Tensor(rng.standard_normal((5, 3)))
         kernels = np.zeros((3, 3))
         kernels[1, :] = 1.0  # centre tap
-        out = conv_branch(h, ConvHead(Tensor(kernels)))
+        out = conv_branch(h, Tensor(kernels))
         np.testing.assert_allclose(out.data, h.data, atol=1e-6)
 
     def test_zero_kernel(self):
         h = Tensor(np.ones((4, 2)))
-        out = conv_branch(h, ConvHead(Tensor(np.zeros((3, 2)))))
+        out = conv_branch(h, Tensor(np.zeros((3, 2))))
         np.testing.assert_array_equal(out.data, np.zeros((4, 2)))
 
     @pytest.mark.parametrize("t,length,d,seed", [(4, 3, 2, 1), (7, 5, 4, 2), (2, 5, 3, 3)])
@@ -52,7 +51,7 @@ class TestConvBranch:
         with use_dtype(np.float64):
             h = Tensor(rng.standard_normal((t, d)))
             kernels = rng.standard_normal((length, d))
-            out = conv_branch(h, ConvHead(Tensor(kernels)))
+            out = conv_branch(h, Tensor(kernels))
         np.testing.assert_allclose(out.data, naive_conv(h.data, kernels), atol=1e-6)
 
     def test_locality_exact(self):
@@ -61,10 +60,10 @@ class TestConvBranch:
         with use_dtype(np.float64):
             base = rng.standard_normal((9, 3))
             kernels = Tensor(rng.standard_normal((5, 3)))
-            before = conv_branch(Tensor(base), ConvHead(kernels)).data
+            before = conv_branch(Tensor(base), kernels).data
             perturbed = base.copy()
             perturbed[4] += 10.0
-            after = conv_branch(Tensor(perturbed), ConvHead(kernels)).data
+            after = conv_branch(Tensor(perturbed), kernels).data
         changed = np.any(before != after, axis=1)
         for i in range(9):
             if abs(i - 4) > 2:
@@ -73,26 +72,24 @@ class TestConvBranch:
 
 class TestAttnBranch:
     def make_head(self, rng, d):
-        return AttnHead(Tensor(rng.standard_normal((d, d)), requires_grad=True),
-                        Tensor(rng.standard_normal((d, d)), requires_grad=True),
-                        Tensor(rng.standard_normal((d, d)), requires_grad=True))
+        return tuple(Tensor(rng.standard_normal((d, d)), requires_grad=True) for _ in range(3))
 
     def test_singleton_sequence(self):
         rng = np.random.default_rng(5)
         d = 4
         head = self.make_head(rng, d)
-        pos = PositionTable(Tensor(rng.standard_normal((8, d))))
+        pos = Tensor(rng.standard_normal((8, d)))
         h = Tensor(rng.standard_normal((1, d)))
         out, weights = attn_branch(h, pos, head, n_heads=1)
         np.testing.assert_allclose(weights.data, [[1.0]], atol=1e-7)
-        ht = h.data + pos.table.data[:1]
-        np.testing.assert_allclose(out.data, ht @ head.w_v.data.T, atol=1e-5)
+        ht = h.data + pos.data[:1]
+        np.testing.assert_allclose(out.data, ht @ head[2].data.T, atol=1e-5)
 
     def test_identical_rows_uniform_attention(self):
         rng = np.random.default_rng(6)
         d = 4
         head = self.make_head(rng, d)
-        pos = PositionTable(Tensor(np.zeros((8, d))))
+        pos = Tensor(np.zeros((8, d)))
         h = Tensor(np.tile(rng.standard_normal(d), (5, 1)))
         _, weights = attn_branch(h, pos, head, n_heads=1)
         np.testing.assert_allclose(weights.data, np.full((5, 5), 0.2), atol=1e-6)
@@ -102,12 +99,11 @@ class TestAttnBranch:
         d, t = 4, 3
         with use_dtype(np.float64):
             head = self.make_head(rng, d)
-            pos = PositionTable(Tensor(rng.standard_normal((8, d))))
+            pos = Tensor(rng.standard_normal((8, d)))
             h = Tensor(rng.standard_normal((t, d)))
             out, weights = attn_branch(h, pos, head, n_heads=2)
-            expect_out, expect_a = naive_attn(h.data, pos.table.data,
-                                              head.w_q.data, head.w_k.data,
-                                              head.w_v.data, 2)
+            expect_out, expect_a = naive_attn(h.data, pos.data,
+                                              *(w.data for w in head), 2)
         np.testing.assert_allclose(out.data, expect_out, atol=1e-6)
         np.testing.assert_allclose(weights.data, expect_a, atol=1e-6)
 
@@ -115,7 +111,7 @@ class TestAttnBranch:
         rng = np.random.default_rng(8)
         d = 6
         head = self.make_head(rng, d)
-        pos = PositionTable(Tensor(rng.standard_normal((10, d))))
+        pos = Tensor(rng.standard_normal((10, d)))
         h = Tensor(rng.standard_normal((7, d)) * 5)
         _, weights = attn_branch(h, pos, head, n_heads=1)
         np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-6)
@@ -124,7 +120,7 @@ class TestAttnBranch:
         rng = np.random.default_rng(9)
         d = 4
         head = self.make_head(rng, d)
-        pos = PositionTable(Tensor(rng.standard_normal((8, d))))
+        pos = Tensor(rng.standard_normal((8, d)))
         h = Tensor(rng.standard_normal((4, d)))
         _, weights = attn_branch(h, pos, head, n_heads=1,
                                  valid_mask=[True, True, True, False])
@@ -135,20 +131,18 @@ class TestAttnBranch:
         rng = np.random.default_rng(10)
         d = 4
         head = self.make_head(rng, d)
-        pos = PositionTable(Tensor(np.zeros((2, d))))
+        pos = Tensor(np.zeros((2, d)))
         with pytest.raises(ValueError):
             attn_branch(Tensor(np.zeros((3, d))), pos, head, n_heads=1)
 
 
 class TestTwinForward:
     def build(self, rng, d, n_conv, n_attn, length=3, t_max=8):
-        conv = [ConvHead(Tensor(rng.standard_normal((length, d)), requires_grad=True))
+        conv = [Tensor(rng.standard_normal((length, d)), requires_grad=True)
                 for _ in range(n_conv)]
-        attn = [AttnHead(Tensor(rng.standard_normal((d, d)), requires_grad=True),
-                         Tensor(rng.standard_normal((d, d)), requires_grad=True),
-                         Tensor(rng.standard_normal((d, d)), requires_grad=True))
+        attn = [tuple(Tensor(rng.standard_normal((d, d)), requires_grad=True) for _ in range(3))
                 for _ in range(n_attn)]
-        pos = PositionTable(Tensor(rng.standard_normal((t_max, d)), requires_grad=True))
+        pos = Tensor(rng.standard_normal((t_max, d)), requires_grad=True)
         return conv, attn, pos
 
     def test_output_width_is_two_h_d(self):
@@ -160,10 +154,9 @@ class TestTwinForward:
     def test_zero_parameters_zero_output(self):
         rng = np.random.default_rng(12)
         d = 4
-        conv = [ConvHead(Tensor(np.zeros((3, d))))]
-        attn = [AttnHead(Tensor(np.zeros((d, d))), Tensor(np.zeros((d, d))),
-                         Tensor(np.zeros((d, d))))]
-        pos = PositionTable(Tensor(np.zeros((8, d))))
+        conv = [Tensor(np.zeros((3, d)))]
+        attn = [tuple(Tensor(np.zeros((d, d))) for _ in range(3))]
+        pos = Tensor(np.zeros((8, d)))
         out, _ = twin_forward(Tensor(rng.standard_normal((3, d))), conv, attn, pos)
         np.testing.assert_allclose(out.data, np.zeros((3, 8)), atol=1e-7)
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinrec.autodiff import Tensor, finite_diff_check, use_dtype, zero_grads
-from twinrec.model import (ModelConfig, SequentialRecommender, build_variant,
+from twinrec.model import (VARIANTS, ModelConfig, SequentialRecommender, build_variant,
                            l2_penalty)
 
 
@@ -290,7 +291,7 @@ class TestVariants:
 
     def test_full_emb_uses_full_table(self):
         model = build_variant("full_emb", tiny_config(vocab_size=5), seed=0)
-        assert model.embedding.sizes == [5]
+        assert len(model.embedding.tables) == 1
         assert model.params["emb.table0"].data.shape == (5, 8)
         assert model.count_parameters()["embedding"] == 5 * 8
 
@@ -435,6 +436,21 @@ class TestCheckpoint:
         self.rewrite(path, lambda h: h["tensors"].append(extra))
         with pytest.raises(ValueError, match="extra"):
             SequentialRecommender.load(path)
+
+    # SHA-256 of each variant's freshly built checkpoint. It pins every
+    # parameter's name, order, shape and initial value, and the file layout.
+    GOLDEN = {
+        "full": "bc4548a4717988ac38ba67b4645f640397a635e976e7339c302a51fe70435360",
+        "full_emb": "255615be98da5a51b97aae95ee29820c1d31f9302d30e7fa1bc39d813abfaab0",
+        "wo_dynamic": "dc48c3512ffb72eca5778ba427f137510800c530b98e835e0420b60c7457ce52",
+        "plain_attn": "b2294fed86d83529240d6f75fd5dc4c5c701d3bef80d19c7e1fd01d0e03ed917",
+    }
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_initial_checkpoint_bytes_are_pinned(self, tmp_path, variant):
+        path = tmp_path / "ckpt.bin"
+        build_variant(variant, tiny_config(n_layers=2, n_tables=3), seed=5).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN[variant]
 
     def test_float64_checkpoint_loads_into_float32_model(self, tmp_path):
         with use_dtype(np.float64):
