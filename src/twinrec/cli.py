@@ -29,23 +29,22 @@ from .encoder import count_branch_params
 
 
 def _workspace(cfg):
-    ws = os.environ.get("TWINREC_WORKSPACE", cfg["workspace"])
-    path = Path(ws)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(os.environ.get("TWINREC_WORKSPACE", cfg["workspace"]))
 
 
 def _load_workspace(cfg):
     ws = _workspace(cfg)
-    for name in ("sequences.json", "item_vocab.tsv", "context_vocab.tsv"):
+    for name in ("sequences.npz", "item_vocab.tsv", "context_vocab.tsv"):
         if not (ws / name).exists():
             raise FileNotFoundError(f"{ws / name} missing; run prepare-data first")
-    sequences = datamod.load_sequences(ws / "sequences.json")
+    sequences = datamod.load_sequences(ws / "sequences.npz")
     vocab = datamod.ItemVocab.load(ws / "item_vocab.tsv")
-    for seq in sequences:
-        if seq.items and (max(seq.items) >= vocab.n_items or max(seq.cats) > vocab.n_categories):
-            raise ValueError(f"{ws / 'sequences.json'}: user {seq.user!r} has an item or "
-                             f"category that {ws / 'item_vocab.tsv'} does not list")
+    items, cats = (np.concatenate([getattr(s, key) for s in sequences]) for key in ("items", "cats"))
+    unlisted = (items >= vocab.n_items) | (cats > vocab.n_categories)
+    if unlisted.any():
+        owner = np.searchsorted(np.cumsum([len(s) for s in sequences]), unlisted.argmax(), "right")
+        raise ValueError(f"{ws / 'sequences.npz'}: user {sequences[owner].user!r} has an item or "
+                         f"category that {ws / 'item_vocab.tsv'} does not list")
     ctx_vocab = ContextVocab.load(ws / "context_vocab.tsv")
     return ws, sequences, vocab, ctx_vocab
 
@@ -88,7 +87,8 @@ def cmd_prepare_data(cfg):
     vocab, sequences = datamod.build_sequences(log)
     ctx_vocab = datamod.build_context_vocab(sequences)
     ws = _workspace(cfg)
-    datamod.save_sequences(sequences, ws / "sequences.json")
+    ws.mkdir(parents=True, exist_ok=True)
+    datamod.save_sequences(sequences, ws / "sequences.npz")
     vocab.save(ws / "item_vocab.tsv")
     ctx_vocab.save(ws / "context_vocab.tsv")
     stats = datamod.dataset_stats(vocab, sequences)

@@ -2,17 +2,17 @@
 
 Input is a UTF-8 tab-separated log with columns ``user item category
 timestamp`` (unix seconds), optional header. The parser numbers each
-column's ids once; every later step works on integer arrays. Users and
-items with fewer than five interactions are discarded iteratively until a
-fixed point, one stable sort orders each user's interactions
-chronologically (file order breaks ties), and the last two items per user
-are held out. A window is a slice of a user's history whose first
-position has PAD_CATEGORY as its previous category.
+column's ids once; every later step, and the sequence store, works on
+integer arrays. Users and items with fewer than five interactions are
+discarded iteratively until a fixed point, one stable sort orders each
+user's interactions chronologically (file order breaks ties), and the last
+two items per user are held out. A window is a slice of a user's history
+whose first position has PAD_CATEGORY as its previous category.
 """
 
 from __future__ import annotations
 
-import json
+import zipfile
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -97,19 +97,27 @@ class ItemVocab:
 @dataclass
 class UserSequence:
     user: str
-    items: list   # global item indices, chronological
-    cats: list    # category index per position
-    hours: list   # hour of day per position
+    items: np.ndarray  # (n,) int64 global item indices, chronological
+    cats: np.ndarray   # (n,) int64 category index per position
+    hours: np.ndarray  # (n,) int64 hour of day per position
 
     def __len__(self):
         return len(self.items)
+
+
+def _cut(users, offsets, items, cats, hours):
+    """One UserSequence per user, its columns views of the flat ones."""
+    return [UserSequence(user, items[lo:hi], cats[lo:hi], hours[lo:hi])
+            for user, lo, hi in zip(users, offsets[:-1].tolist(), offsets[1:].tolist())]
 
 
 def ingest(path):
     """Parse the interaction log; returns (Log, n_malformed).
 
     Malformed lines are counted and skipped; more than 1% malformed lines
-    aborts with samples of the offenders.
+    aborts with samples of the offenders. A user id may not end in NUL: the
+    sequence store keeps ids in a fixed-width string column, which drops
+    trailing NULs.
     """
     users, items, cats = index = ({}, {}, {})
     codes, stamps = [], []
@@ -124,7 +132,8 @@ def ingest(path):
                 continue
             n_lines += 1
             parts = line.split("\t")
-            if len(parts) != 4 or not all(p.strip() for p in parts[:3]):
+            if (len(parts) != 4 or not all(p.strip() for p in parts[:3])
+                    or parts[0].endswith("\0")):
                 bad.append((lineno, line))
                 continue
             user, item, category, ts = parts
@@ -182,6 +191,7 @@ def build_sequences(log):
     if not rows.size:
         raise ValueError("all interactions removed by 5-core filtering")
     user_order, _ = _first_seen(users[rows])
+    offsets = np.r_[0, np.cumsum(np.bincount(user_order))]
     rows = rows[np.lexsort((log.timestamps[rows], user_order))]  # stable: ties keep file order
     item_of, item_first = _first_seen(items[rows])
     first = rows[item_first]  # each item's first row, in item order
@@ -190,12 +200,8 @@ def build_sequences(log):
     vocab = ItemVocab({log.names[1][c]: k for k, c in enumerate(items[first].tolist())},
                       {log.names[2][c]: k for k, c in enumerate(cats[first[cat_item]].tolist(), 1)},
                       item_cat.tolist())
-    seq_items, seq_cats = item_of.tolist(), item_cat[item_of].tolist()
-    hours = (log.timestamps[rows] // 3600 % 24).tolist()
-    grouped = users[rows]
-    bounds = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), len(rows)]
-    return vocab, [UserSequence(log.names[0][grouped[lo]], seq_items[lo:hi], seq_cats[lo:hi],
-                                hours[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    names = [log.names[0][u] for u in users[rows[offsets[:-1]]].tolist()]
+    return vocab, _cut(names, offsets, item_of, item_cat[item_of], log.timestamps[rows] // 3600 % 24)
 
 
 def split_leave_one_out(seq):
@@ -215,10 +221,9 @@ def _contexts(seq, lo, hi):
     A window's first position sees PAD_CATEGORY as its previous category;
     position 0 has no other, so its two variants are equal.
     """
-    cats, hours = seq.cats[lo:hi], seq.hours[lo:hi]
-    prev = seq.cats[lo - 1:hi - 1] if lo else [PAD_CATEGORY, *cats[:-1]]
-    return (list(zip([PAD_CATEGORY] * len(cats), cats, hours)),
-            list(zip(prev, cats, hours)))
+    cats, hours = seq.cats[lo:hi].tolist(), seq.hours[lo:hi].tolist()
+    prev = seq.cats[lo - 1:hi - 1].tolist() if lo else [PAD_CATEGORY, *cats[:-1]]
+    return list(zip([PAD_CATEGORY] * len(cats), cats, hours)), list(zip(prev, cats, hours))
 
 
 def build_context_vocab(sequences):
@@ -241,15 +246,14 @@ def _windows(seq, ctx_vocab, max_len, ends):
     context once; a window's first position takes its PAD-previous context.
     """
     lo, hi = max(0, ends.start - max_len), ends.stop - 1
-    items = np.array(seq.items[lo:hi], dtype=np.int64)
     pad, true = _contexts(seq, lo, hi)
     true = np.fromiter(map(ctx_vocab.lookup, true), dtype=np.int64, count=len(true))
     out = []
-    for end in ends:
-        start = max(0, end - max_len) - lo
-        ctxs = true[start:end - lo].copy()
-        ctxs[0] = ctx_vocab.lookup(pad[start])
-        out.append((items[start:end - lo].copy(), ctxs, seq.items[end]))
+    for end, target in zip(ends, seq.items[ends.start:ends.stop].tolist()):
+        start = max(0, end - max_len)
+        ctxs = true[start - lo:end - lo].copy()
+        ctxs[0] = ctx_vocab.lookup(pad[start - lo])
+        out.append((seq.items[start:end].copy(), ctxs, target))
     return out
 
 
@@ -285,30 +289,29 @@ def dataset_stats(vocab, sequences):
 
 
 def save_sequences(sequences, path):
-    doc = [{"user": s.user, "items": s.items, "cats": s.cats, "hours": s.hours}
-           for s in sequences]
-    with atomic_write(path) as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
+    """An uncompressed ``.npz`` archive of user names, history offsets and the histories."""
+    with atomic_write(path, binary=True) as f:
+        np.savez(f, users=[s.user for s in sequences],
+                 offsets=np.cumsum([0, *map(len, sequences)], dtype=np.int64),
+                 **{key: np.concatenate([getattr(s, key) for s in sequences], dtype=np.int64)
+                    for key in ("items", "cats", "hours")})
 
 
 def load_sequences(path):
-    """Read a file ``save_sequences`` wrote, checking each record as it is built."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    if not isinstance(doc, list):
-        raise ValueError(f"{path}: expected a list of user records")
-    sequences = []
-    for k, d in enumerate(doc):
-        if not isinstance(d, dict) or not isinstance(d.get("user"), str):
-            raise ValueError(f"{path}: record {k} has no string user")
-        user, columns = d["user"], [d.get(key) for key in ("items", "cats", "hours")]
-        if not all(isinstance(c, list) and all(type(x) is int for x in c) for c in columns):
-            raise ValueError(f"{path}: user {user!r} needs items, cats and hours lists of integers")
-        items, cats, hours = columns
-        if not len(items) == len(cats) == len(hours):
-            raise ValueError(f"{path}: user {user!r} has items, cats and hours of different lengths")
-        if items and (min(items) < 0 or min(cats) < 1 or min(hours) < 0 or max(hours) > 23):
-            raise ValueError(f"{path}: user {user!r} needs items from 0, categories from 1 "
-                             f"and hours in 0..23")
-        sequences.append(UserSequence(user, items, cats, hours))
-    return sequences
+    """Read an archive ``save_sequences`` wrote, checking every column at once."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            columns = [archive[k] for k in ("users", "offsets", "items", "cats", "hours")]
+        users, offsets, items, cats, hours = columns
+        if (users.dtype.kind != "U" or any(c.ndim != 1 for c in columns)
+                or any(c.dtype != np.int64 for c in columns[1:]) or len(offsets) != len(users) + 1
+                or offsets[0] != 0 or (np.diff(offsets) < 0).any()
+                or not offsets[-1] == len(items) == len(cats) == len(hours)):
+            raise ValueError("columns of the wrong type or length")
+    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile):
+        raise ValueError(f"{path}: not a sequence archive; run prepare-data again") from None
+    bad = (items < 0) | (cats < 1) | (hours < 0) | (hours > 23)
+    if bad.any():
+        user = str(users[np.searchsorted(offsets, bad.argmax(), side="right") - 1])
+        raise ValueError(f"{path}: user {user!r} needs items from 0, categories from 1, hours 0..23")
+    return _cut(users.tolist(), offsets, items, cats, hours)

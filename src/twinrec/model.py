@@ -30,6 +30,12 @@ from .embedding import EmbeddingParams, PAD_ITEM, UNK_CONTEXT
 VARIANTS = ("full", "full_emb", "wo_dynamic", "plain_attn")
 
 CHECKPOINT_MAGIC = "TWINREC-CKPT-1"
+# Values per rng.uniform call when a parameter is initialised (4 MB of
+# float64): a larger tensor is drawn block by block into its own storage, so
+# no float64 copy of it is built, and a smaller one is drawn whole. Smaller
+# blocks left glibc's dynamic trim threshold low in a process that only
+# loads a model, and serving then re-faulted heap pages on every request.
+INIT_BLOCK = 1 << 19
 
 
 @dataclass
@@ -64,11 +70,6 @@ class ModelConfig:
         return head + [rest]
 
 
-def _init_matrix(rng, shape, dim):
-    bound = 1.0 / math.sqrt(dim)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 class SequentialRecommender:
     """Trainable next-item model; parameters live in a stable, named dict."""
 
@@ -80,12 +81,15 @@ class SequentialRecommender:
 
         def new_param(name, shape, zero=False):
             # Each tensor draws from its own name-keyed stream so variants
-            # sharing a parameter name initialise identically.
-            if zero:
-                data = np.zeros(shape)
-            else:
+            # sharing a parameter name initialise identically; one uniform
+            # draw per value, so blocking keeps the values.
+            data = np.zeros(shape, autodiff._DTYPE)
+            if not zero:
                 rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
-                data = _init_matrix(rng, shape, d)
+                bound, flat = 1.0 / math.sqrt(d), data.reshape(-1)
+                for lo in range(0, flat.size, INIT_BLOCK):
+                    block = flat[lo:lo + INIT_BLOCK]
+                    block[...] = rng.uniform(-bound, bound, size=block.size)
             t = Tensor(data, requires_grad=True)
             self.params[name] = t
             return t
@@ -248,20 +252,25 @@ class SequentialRecommender:
             header = json.loads(f.readline().decode("utf-8"))
             if header.get("magic") != CHECKPOINT_MAGIC:
                 raise ValueError(f"{path}: not a checkpoint file")
-            model = cls(ModelConfig(**header["config"]), seed=header["seed"])
+            try:
+                model = cls(ModelConfig(**header["config"]), seed=header["seed"])
+                entries = [(e["name"], list(e["shape"]), e["offset"], np.dtype(e["dtype"]))
+                           for e in header["tensors"]]
+            except (KeyError, TypeError, ValueError) as e:
+                raise ValueError(f"{path}: malformed header ({type(e).__name__}: {e}); "
+                                 f"run train again") from None
             model.vocab_digest = header.get("vocab_digest")
-            entries, offset = header["tensors"], 0
+            offset = 0
             if len(entries) > len(model.params):
-                raise ValueError(f"{path}: unknown tensor {entries[len(model.params)]['name']!r}")
+                raise ValueError(f"{path}: unknown tensor {entries[len(model.params)][0]!r}")
             for k, (name, p) in enumerate(model.params.items()):
-                entry = entries[k] if k < len(entries) else {"name": None}
-                if entry["name"] != name:
-                    raise ValueError(f"{path}: manifest entry {k} is {entry['name']!r}, "
+                got, shape, at, dtype = entries[k] if k < len(entries) else (None,) * 4
+                if got != name:
+                    raise ValueError(f"{path}: manifest entry {k} is {got!r}, "
                                      f"the model expects tensor {name!r}")
-                if tuple(entry["shape"]) != p.data.shape or entry["offset"] != offset:
-                    raise ValueError(f"{path}: tensor {name!r} has shape {entry['shape']} at offset "
-                                     f"{entry['offset']}, not {list(p.data.shape)} at {offset}")
-                dtype = np.dtype(entry["dtype"])
+                if tuple(shape) != p.data.shape or at != offset or dtype.kind != "f":
+                    raise ValueError(f"{path}: tensor {name!r} has shape {shape} and dtype {dtype} "
+                                     f"at offset {at}, not {list(p.data.shape)} floats at {offset}")
                 raw = p.data if dtype == p.data.dtype else np.empty(p.data.shape, dtype)
                 offset += raw.nbytes
                 if f.readinto(raw) != raw.nbytes:

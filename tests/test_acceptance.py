@@ -184,7 +184,7 @@ def test_criterion_7_memorisation():
         items = [(start + i) % vocab for i in range(12)]
         cats = [1 + (v % 5) for v in items]
         hours = [(v * 3) % 24 for v in items]
-        seqs.append(UserSequence(f"u{u}", items, cats, hours))
+        seqs.append(UserSequence(f"u{u}", np.array(items), np.array(cats), np.array(hours)))
     ctx = build_context_vocab(seqs)
     cfg = ModelConfig(vocab_size=vocab, n_contexts=ctx.size, dim=32,
                       kernel_size=3, n_heads=2, max_len=12, m1=2)
@@ -220,7 +220,7 @@ def test_criterion_8_ablation_direction():
             items.append(cur)
         cats = [cat_of[v] for v in items]
         hours = [int(h) for h in rng.integers(0, 24, size=len(items))]
-        seqs.append(UserSequence(f"u{u}", items, cats, hours))
+        seqs.append(UserSequence(f"u{u}", np.array(items), np.array(cats), np.array(hours)))
     ctx = build_context_vocab(seqs)
     cfg = ModelConfig(vocab_size=vocab, n_contexts=ctx.size, dim=32,
                       kernel_size=3, n_heads=2, max_len=15, m1=2)

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from twinrec.cli import main
 from twinrec.config import (SCHEMA, ConfigError, config_hash, load_config, model_config,
                             train_config)
+from twinrec.data import load_sequences
 from twinrec.model import SequentialRecommender
 
 
@@ -126,6 +128,13 @@ class TestDispatch:
         assert main(["train"]) == 1
         assert "prepare-data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "export-attention"])
+    def test_failed_command_creates_no_workspace(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setenv("TWINREC_WORKSPACE", str(tmp_path / "x" / "y"))
+        assert main([command]) == 1
+        assert "run prepare-data first" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_bad_override_reported(self, capsys):
         assert main(["count-params", "--set", "dim"]) == 1
         assert "error" in capsys.readouterr().err
@@ -166,7 +175,7 @@ class TestPipeline:
         assert main(["prepare-data"] + args) == 0
         stats = json.loads((ws / "dataset_stats.json").read_text())
         assert stats["n_users"] == 10 and stats["n_items"] == 12
-        assert (ws / "sequences.json").exists()
+        assert (ws / "sequences.npz").exists()
         assert (ws / "item_vocab.tsv").exists()
         assert (ws / "context_vocab.tsv").exists()
 
@@ -205,8 +214,55 @@ class TestPipeline:
             assert main(["evaluate"] + args) == 0
             blobs.append(((ws / "checkpoint.bin").read_bytes(),
                           (ws / "metrics_test.json").read_bytes(),
-                          (ws / "sequences.json").read_bytes()))
+                          (ws / "sequences.npz").read_bytes()))
         assert blobs[0] == blobs[1]
+
+    def test_prepare_writes_identical_archives(self, workspace, monkeypatch, capsys):
+        # The second run's clock reads three days later: the archive must not record it.
+        ws, log = workspace
+        assert main(["prepare-data", "--set", f"data={log}"]) == 0
+        first = (ws / "sequences.npz").read_bytes()
+        later = time.time() + 3 * 86400
+        monkeypatch.setattr(time, "time", lambda: later)
+        assert main(["prepare-data", "--set", f"data={log}"]) == 0
+        assert (ws / "sequences.npz").read_bytes() == first
+
+    def test_json_only_workspace_is_one_error_line(self, workspace, capsys):
+        ws, log = workspace
+        assert main(["prepare-data", "--set", f"data={log}"]) == 0
+        (ws / "sequences.npz").unlink()
+        (ws / "sequences.json").write_text('[{"user": "u0", "items": [0], "cats": [1], '
+                                           '"hours": [0]}]')
+        capsys.readouterr()
+        assert main(["train", "--set", f"data={log}"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {ws / 'sequences.npz'} missing; run prepare-data first"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("seed"),
+        lambda h: h.pop("tensors"),
+        lambda h: h["tensors"][0].pop("shape"),
+        lambda h: h["config"].update(colour="blue"),
+        lambda h: h["config"].update(dim="8"),
+        lambda h: h["tensors"][0].update(dtype="<i9"),
+        lambda h: h["tensors"][0].update(dtype="<i4"),
+    ], ids=["no_seed", "no_tensors", "entry_without_shape", "extra_config_field",
+            "mistyped_config_field", "dtype_i9", "dtype_i4"])
+    def test_malformed_checkpoint_header_is_one_error_line(self, workspace, capsys, edit):
+        ws, log = workspace
+        args = SMALL + ["--set", "epochs=1", "--set", f"data={log}"]
+        assert main(["prepare-data"] + args) == 0
+        assert main(["train"] + args) == 0
+        ckpt = ws / "checkpoint.bin"
+        header, payload = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        edit(header)
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        capsys.readouterr()
+        assert main(["evaluate"] + args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(ckpt) in err[0]
+        assert not list(ws.glob("metrics_*.json"))
 
     def test_bad_checkpoint_is_one_error_line(self, workspace, capsys):
         ws, log = workspace
@@ -225,7 +281,7 @@ class TestPipeline:
         assert main(["prepare-data", "--set", f"data={log.parent}"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
-        assert not (ws / "sequences.json").exists()
+        assert not (ws / "sequences.npz").exists()
 
     @pytest.mark.parametrize("last_k", ["0", "-3"])
     def test_export_last_k_below_one_is_one_error_line(self, workspace, capsys, last_k):
@@ -257,23 +313,29 @@ class TestPipeline:
         assert str(path) in err[0] and message in err[0]
         assert not (ws / "checkpoint.bin").exists()
 
-    @pytest.mark.parametrize("name,pattern,repl,where", [
-        ("sequences.json", r'"items":\[\d+', '"items":[1000000', "'u0'"),
-        ("sequences.json", r'"hours":\[[\d,]*\],', "", "'u0'"),
-        ("sequences.json", r'"hours":\[\d+', '"hours":[99', "'u0'"),
-        ("item_vocab.tsv", r"\t0\t", "\t1\t", "line 1"),
-        ("item_vocab.tsv", r"\t0\t", "\tzero\t", "line 1"),
+    @pytest.mark.parametrize("name,edit,where", [
+        ("sequences.npz", lambda c: c["items"].__setitem__(c["offsets"][3], 1000000), "'u3'"),
+        ("sequences.npz", lambda c: c.pop("hours"), "run prepare-data again"),
+        ("sequences.npz", lambda c: c["hours"].__setitem__(c["offsets"][5], 99), "'u5'"),
+        ("item_vocab.tsv", (r"\t0\t", "\t1\t"), "line 1"),
+        ("item_vocab.tsv", (r"\t0\t", "\tzero\t"), "line 1"),
     ], ids=["item_1e6", "no_hours", "hour_99", "index_1_twice", "index_zero_word"])
-    def test_bad_workspace_file_is_one_error_line(self, workspace, capsys, name, pattern, repl,
-                                                  where):
+    def test_bad_workspace_file_is_one_error_line(self, workspace, capsys, name, edit, where):
         ws, log = workspace
         args = SMALL + ["--set", "epochs=1", "--set", f"data={log}"]
         assert main(["prepare-data"] + args) == 0
         assert main(["train"] + args) == 0
         path = ws / name
-        text, n = re.subn(pattern, repl, path.read_text(), count=1)
-        assert n == 1
-        path.write_text(text)
+        if name.endswith(".npz"):  # edit a column of the archive
+            with np.load(path) as archive:
+                cols = dict(archive)
+            edit(cols)
+            with open(path, "wb") as f:
+                np.savez(f, **cols)
+        else:  # substitute one line of the text file
+            text, n = re.subn(*edit, path.read_text(), count=1)
+            assert n == 1
+            path.write_text(text)
         capsys.readouterr()
         assert main(["evaluate"] + args) == 1
         err = capsys.readouterr().err.splitlines()
@@ -289,7 +351,7 @@ class TestPipeline:
         log.write_text("".join(f"u{u}\t{item}\t{cat}\t{5 * u + k}\n"
                                for u in range(6) for k, (item, cat) in enumerate(rows)))
         assert main(["prepare-data", "--set", f"data={log}"]) == 0
-        assert max(max(r["cats"]) for r in json.loads((ws / "sequences.json").read_text())) == 2
+        assert max(s.cats.max() for s in load_sequences(ws / "sequences.npz")) == 2
         assert json.loads((ws / "dataset_stats.json").read_text())["n_categories"] == 2
         assert main(["count-params", "--set", "dim=8"]) == 0
 

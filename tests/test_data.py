@@ -1,4 +1,3 @@
-import json
 import os
 import tempfile
 
@@ -13,6 +12,14 @@ from twinrec.data import (IngestionError, build_context_vocab,
                           save_sequences, split_leave_one_out, ItemVocab,
                           UserSequence)
 from twinrec.embedding import PAD_CATEGORY, UNK_CONTEXT
+
+
+def user_seq(items, cats, hours, user="u"):
+    return UserSequence(user, *(np.array(c, dtype=np.int64) for c in (items, cats, hours)))
+
+
+def columns(seq):
+    return seq.user, seq.items.tolist(), seq.cats.tolist(), seq.hours.tolist()
 
 
 def write_tsv(path, rows):
@@ -140,6 +147,12 @@ class TestIngest:
         assert bad == 1
         assert len(log) == 200
 
+    def test_user_ending_in_nul_is_malformed(self, tmp_path):
+        path = tmp_path / "log.tsv"
+        write_tsv(path, [("u", f"i{k}", "c", 10) for k in range(200)] + [("u\0", "ix", "c", 10)])
+        log, bad = ingest(path)
+        assert bad == 1 and len(log) == 200 and log.names[0] == ["u"]
+
     def test_timestamp_beyond_int64_is_malformed(self, tmp_path):
         path = tmp_path / "log.tsv"
         write_tsv(path, [("u", f"i{k}", "c", 10) for k in range(200)] + [("u", "ix", "c", 2**63)])
@@ -183,7 +196,7 @@ class TestBuildSequences:
         rows = dense_log(n_users=1, n_items=5, reps=5)
         vocab, seqs = build_sequences(parse([(*r[:3], 42) for r in rows]))  # all equal timestamps
         raw_order = [r[1] for r in rows]
-        assert [vocab.item_index[raw] for raw in raw_order] == seqs[0].items
+        assert [vocab.item_index[raw] for raw in raw_order] == seqs[0].items.tolist()
 
     def test_cascading_filter_matches_bruteforce(self):
         # dropping the rare item pushes its user below 5 on the next pass
@@ -217,8 +230,7 @@ class TestBuildSequences:
         v1, s1 = build_sequences(log)
         v2, s2 = build_sequences(log)
         assert v1.item_index == v2.item_index
-        assert [(s.user, s.items, s.cats, s.hours) for s in s1] == \
-               [(s.user, s.items, s.cats, s.hours) for s in s2]
+        assert list(map(columns, s1)) == list(map(columns, s2))
 
     @settings(max_examples=200, deadline=None)
     @given(logs())
@@ -229,8 +241,8 @@ class TestBuildSequences:
                 build_sequences(parse(rows))
             return
         vocab, seqs = build_sequences(parse(rows))
-        assert [(s.user, s.items, s.cats, s.hours) for s in seqs] == want
-        assert all(type(v) is int for s in seqs for v in s.items + s.cats + s.hours)
+        assert list(map(columns, seqs)) == want
+        assert all(c.dtype == np.int64 for s in seqs for c in (s.items, s.cats, s.hours))
         assert vocab.item_index == item_index
         assert vocab.category_index == cat_index
 
@@ -244,15 +256,15 @@ class TestBuildSequences:
 
 class TestSplit:
     def test_standard_split(self):
-        seq = UserSequence("u", [1, 2, 3, 4, 5], [1] * 5, [0] * 5)
+        seq = user_seq([1, 2, 3, 4, 5], [1] * 5, [0] * 5)
         assert split_leave_one_out(seq) == (3, 3, 4)
 
     def test_minimum_case(self):
-        seq = UserSequence("u", [1, 2, 3], [1] * 3, [0] * 3)
+        seq = user_seq([1, 2, 3], [1] * 3, [0] * 3)
         assert split_leave_one_out(seq) == (1, 1, 2)
 
     def test_too_short_excluded(self):
-        seq = UserSequence("u", [1, 2], [1, 1], [0, 0])
+        seq = user_seq([1, 2], [1, 1], [0, 0])
         assert split_leave_one_out(seq) is None
 
 
@@ -261,34 +273,34 @@ class TestSamples:
         return build_context_vocab([seq])
 
     def test_train_length_two_gives_one_sample(self):
-        seq = UserSequence("u", [0, 1, 2, 3], [1] * 4, [0] * 4)
+        seq = user_seq([0, 1, 2, 3], [1] * 4, [0] * 4)
         samples = generate_training_samples(seq, self.make_vocab(seq), max_len=10)
         assert len(samples) == 1
         items, _, target = samples[0]
         assert items.tolist() == [0] and target == 1
 
     def test_train_length_five_gives_four_samples(self):
-        seq = UserSequence("u", [0, 1, 2, 3, 4, 5, 6], [1] * 7, [0] * 7)
+        seq = user_seq([0, 1, 2, 3, 4, 5, 6], [1] * 7, [0] * 7)
         samples = generate_training_samples(seq, self.make_vocab(seq), max_len=10)
         assert len(samples) == 4
         assert [t for _, _, t in samples] == [1, 2, 3, 4]
 
     def test_window_truncation(self):
-        seq = UserSequence("u", list(range(8)), [1] * 8, [0] * 8)
+        seq = user_seq(list(range(8)), [1] * 8, [0] * 8)
         samples = generate_training_samples(seq, self.make_vocab(seq), max_len=3)
         items, _, target = samples[-1]
         # naive slicing oracle: input is the last 3 of v1..v5, target v6
         assert items.tolist() == [2, 3, 4] and target == 5
 
     def test_split_disjointness(self):
-        seq = UserSequence("u", list(range(9)), [1] * 9, [0] * 9)
+        seq = user_seq(list(range(9)), [1] * 9, [0] * 9)
         samples = generate_training_samples(seq, self.make_vocab(seq), max_len=5)
         targets = {t for _, _, t in samples}
         assert 7 not in targets and 8 not in targets  # val and test items
 
     def test_context_alignment(self):
         cats = [1, 2, 1, 2, 1, 2, 1, 2, 1]
-        seq = UserSequence("u", list(range(9)), cats, [3] * 9)
+        seq = user_seq(list(range(9)), cats, [3] * 9)
         vocab = self.make_vocab(seq)
         triplet = {idx: t for t, idx in vocab.index.items()}
         for items, ctxs, _ in generate_training_samples(seq, vocab, max_len=3):
@@ -324,7 +336,7 @@ class TestSamples:
 
 class TestEvalInput:
     def test_val_and_test_targets(self):
-        seq = UserSequence("u", [10, 11, 12, 13, 14], [1] * 5, [0] * 5)
+        seq = user_seq([10, 11, 12, 13, 14], [1] * 5, [0] * 5)
         vocab = build_context_vocab([seq])
         items, _, target = eval_input(seq, vocab, max_len=10, split="val")
         assert items.tolist() == [10, 11, 12] and target == 13
@@ -335,27 +347,50 @@ class TestEvalInput:
 class TestArtifacts:
     def test_sequence_store_roundtrip(self, tmp_path):
         _, seqs = build_sequences(parse(dense_log()))
-        path = tmp_path / "sequences.json"
+        path = tmp_path / "sequences.npz"
         save_sequences(seqs, path)
         loaded = load_sequences(path)
-        assert [(s.user, s.items) for s in loaded] == [(s.user, s.items) for s in seqs]
+        assert list(map(columns, loaded)) == list(map(columns, seqs))
+        assert all(type(s.user) is str and s.items.dtype == s.cats.dtype == s.hours.dtype == np.int64
+                   for s in loaded)
 
-    @pytest.mark.parametrize("doc,message", [
-        ({"user": "u0"}, "expected a list"),
-        ([["u0"]], "record 0 has no string user"),
-        ([{"user": 7, "items": [0], "cats": [1], "hours": [0]}], "record 0 has no string user"),
-        ([{"user": "u0", "items": [0.0], "cats": [1], "hours": [0]}], "'u0' needs items"),
-        ([{"user": "u0", "items": [True], "cats": [1], "hours": [0]}], "'u0' needs items"),
-        ([{"user": "u0", "items": [0, 1], "cats": [1], "hours": [0]}], "'u0' has items"),
-        ([{"user": "u0", "items": [-1], "cats": [1], "hours": [0]}], "'u0' needs items from 0"),
-        ([{"user": "u0", "items": [0], "cats": [0], "hours": [0]}], "'u0' needs items from 0"),
-        ([{"user": "u0", "items": [0], "cats": [1], "hours": [24]}], "'u0' needs items from 0"),
-    ], ids=["dict", "list_record", "int_user", "float_item", "bool_item", "lengths",
-            "negative_item", "category_0", "hour_24"])
-    def test_malformed_sequence_record_rejected(self, tmp_path, doc, message):
-        path = tmp_path / "sequences.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+    def test_user_names_round_trip_exactly(self, tmp_path):
+        names = ["ü", "日本語", "a\0b", " padded ", "u" * 40]
+        rows = [(user, f"i{i}", "c", 3600 * i) for user in names for i in range(5)]
+        _, seqs = build_sequences(parse(rows))
+        save_sequences(seqs, tmp_path / "sequences.npz")
+        assert [s.user for s in load_sequences(tmp_path / "sequences.npz")] == names
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda c: c.pop("offsets"), "not a sequence archive"),
+        (lambda c: c["offsets"].__setitem__(1, 7), "not a sequence archive"),
+        (lambda c: c["offsets"].__setitem__(-1, 10), "not a sequence archive"),
+        (lambda c: c.__setitem__("users", np.arange(3)), "not a sequence archive"),
+        (lambda c: c.__setitem__("items", c["items"] * 1.0), "not a sequence archive"),
+        (lambda c: c.__setitem__("items", c["items"] > 0), "not a sequence archive"),
+        (lambda c: c.__setitem__("cats", c["cats"][:-1]), "not a sequence archive"),
+        (lambda c: c["items"].__setitem__(4, -1), "user 'u1' needs items from 0"),
+        (lambda c: c["cats"].__setitem__([4, 8], 0), "user 'u1' needs items from 0"),
+        (lambda c: c["hours"].__setitem__(7, 24), "user 'u2' needs items from 0"),
+    ], ids=["missing_column", "backward_span", "offsets_past_end", "int_user", "float_item",
+            "bool_item", "lengths", "negative_item", "category_0", "hour_24"])
+    def test_malformed_sequence_record_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "sequences.npz"
+        save_sequences([user_seq([0, 1, 2], [1, 1, 1], [0, 0, 0], user=f"u{u}")
+                        for u in range(3)], path)
+        with np.load(path) as archive:
+            cols = dict(archive)
+        edit(cols)
+        np.savez(path, **cols)
         with pytest.raises(ValueError, match=message) as info:
+            load_sequences(path)
+        assert str(path) in str(info.value)
+
+    def test_json_sequence_file_rejected(self, tmp_path):
+        path = tmp_path / "sequences.json"
+        path.write_text('[{"user": "u0", "items": [0], "cats": [1], "hours": [0]}]',
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="run prepare-data again") as info:
             load_sequences(path)
         assert str(path) in str(info.value)
 
@@ -409,17 +444,17 @@ class TestArtifacts:
         assert str(path) in str(info.value)
 
     def test_failed_save_keeps_old_file(self, tmp_path):
-        path = tmp_path / "sequences.json"
-        good = [UserSequence("u0", [0, 1, 2], [1, 1, 1], [0, 0, 0])]
+        path = tmp_path / "sequences.npz"
+        good = [user_seq([0, 1, 2], [1, 1, 1], [0, 0, 0], user="u0")]
         save_sequences(good, path)
         before = path.read_bytes()
-        # The second user's items cannot be encoded, so JSON output stops
-        # partway through the file.
-        bad = good + [UserSequence("u1", [object()], [1], [0])]
+        # The second user's items cannot be stored as int64, so the write
+        # fails after the temporary file is opened.
+        bad = good + [UserSequence("u1", np.array([object()]), np.array([1]), np.array([0]))]
         with pytest.raises(TypeError):
             save_sequences(bad, path)
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["sequences.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["sequences.npz"]
 
     def test_stats(self):
         vocab, seqs = build_sequences(parse(dense_log(n_users=6, n_items=6, reps=1)))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -480,6 +481,37 @@ class TestCheckpoint:
                 tracemalloc.stop()
             del model
         assert peaks[1] <= peaks[0] + (1 << 20)
+
+    def test_construction_and_load_peak_near_the_parameter_bytes(self, tmp_path):
+        # V=100k, D=64: 39.3 MB of float32 parameters, out.w alone 25.6 MB.
+        config = tiny_config(vocab_size=100_000, dim=64, n_contexts=10, max_len=20)
+        path = tmp_path / "ckpt.bin"
+        SequentialRecommender(config, seed=23).save(path)
+        for build in (lambda: SequentialRecommender(config, seed=23),
+                      lambda: SequentialRecommender.load(path)):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                model = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            size = sum(p.data.nbytes for p in model.params.values())
+            del model
+            assert size > 30 << 20 and peak < 1.2 * size
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_initial_values_take_one_float64_draw_each(self, dtype):
+        # out.w holds 64 x 20000 values, three INIT_BLOCKs: drawing block by block
+        # must give the values of one whole-tensor draw, in the storage dtype.
+        with use_dtype(dtype):
+            model = SequentialRecommender(tiny_config(vocab_size=20_000, dim=64), seed=24)
+        for name in ("out.w", "emb.table0"):
+            p = model.params[name].data
+            rng = np.random.default_rng([24, zlib.crc32(name.encode())])
+            want = rng.uniform(-1 / math.sqrt(64), 1 / math.sqrt(64), size=p.shape).astype(dtype)
+            assert p.dtype == dtype and p.tobytes() == want.tobytes()
+        assert not model.params["out.b"].data.any()
 
     def test_load_snapshot_writes_into_the_existing_arrays(self):
         model = SequentialRecommender(tiny_config(), seed=20)

@@ -192,7 +192,7 @@ def cyclic_dataset(n_users=12, length=8, vocab=20):
         items = [(start + i) % vocab for i in range(length)]
         cats = [1 + (v % 3) for v in items]
         hours = [v % 24 for v in items]
-        seqs.append(UserSequence(f"u{u}", items, cats, hours))
+        seqs.append(UserSequence(f"u{u}", np.array(items), np.array(cats), np.array(hours)))
     return seqs
 
 
