@@ -1,11 +1,11 @@
 """Memory-efficient sequential recommendation with a twin conv/attention encoder."""
 
-from .autodiff import Tensor, finite_diff_check, use_dtype
+from .autodiff import Arena, Tensor, finite_diff_check, use_dtype
 from .model import ModelConfig, SequentialRecommender, build_variant
 from .training import Adam, TrainConfig, evaluate, train
 
 __all__ = [
-    "Tensor", "finite_diff_check", "use_dtype",
+    "Arena", "Tensor", "finite_diff_check", "use_dtype",
     "ModelConfig", "SequentialRecommender", "build_variant",
     "Adam", "TrainConfig", "evaluate", "train",
 ]

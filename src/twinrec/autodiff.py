@@ -15,7 +15,8 @@ A leaf tensor (``requires_grad`` with no parents, i.e. a parameter) keeps
 its gradient in a buffer that lives across steps: ``zero_grads`` sets
 ``grad`` to None, and the next backward copies its first contribution into
 the same buffer and adds later ones in place. A caller that keeps a
-gradient past the next backward copies it.
+gradient past the next backward copies it. An ``Arena`` holds leaves as
+views of one flat array.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from scipy.special import erf
 
 _DTYPE = np.float32
 _GRAD_ENABLED = True
-# Elements per block for passes that stream over a whole parameter (Adam,
-# the L2 value): a few float32 blocks fit in a core's L2 cache.
+# Elements per block for passes that stream over a whole arena (Adam, the
+# L2 value): a few float32 blocks fit in a core's L2 cache.
 BLOCK = 1 << 15
 
 
@@ -309,6 +310,28 @@ def concat(tensors, axis=0):
                     t._accum(g[tuple(idx)])
         out._backward = bw
     return out
+
+
+class Arena(dict):
+    """Named leaf tensors, zero at first, each a view of one flat array ``flat`` in ``shapes``' order.
+
+    ``grad_flat()`` makes, once, a gradient array of the same layout; its slices are the leaves'
+    gradient buffers."""
+
+    def __init__(self, shapes):
+        super().__init__()
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.flat = np.zeros(sum(sizes), _DTYPE)
+        self._grad, self._cuts = None, np.cumsum(sizes[:-1])
+        for (name, shape), part in zip(shapes.items(), np.split(self.flat, self._cuts)):
+            self[name] = Tensor(part.reshape(shape), requires_grad=True)
+
+    def grad_flat(self):
+        if self._grad is None:
+            self._grad = np.zeros_like(self.flat)
+            for p, part in zip(self.values(), np.split(self._grad, self._cuts)):
+                p._grad_buf = part.reshape(p.shape)
+        return self._grad
 
 
 def zero_grads(params):

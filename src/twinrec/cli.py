@@ -169,9 +169,7 @@ def cmd_count_params(cfg):
     else:
         _, _, vocab, ctx_vocab = _load_workspace(cfg)
         vocab_size, n_contexts = vocab.n_items, ctx_vocab.size
-    model = SequentialRecommender(model_config(cfg, vocab_size, n_contexts),
-                                  seed=cfg["seed"])
-    counts = model.count_parameters()
+    counts = model_config(cfg, vocab_size, n_contexts).count_parameters()
     full_table = cfg["dim"] * vocab_size
     print(f"config_hash: {config_hash(cfg)}")
     for key in ("embedding", "context", "fusion", "encoder", "positional",

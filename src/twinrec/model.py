@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import zlib
 from dataclasses import asdict, dataclass, replace
+from itertools import zip_longest
 
 import numpy as np
 
 from . import autodiff
 from .atomic import atomic_write
-from .autodiff import BLOCK, Tensor
+from .autodiff import BLOCK, Arena, Tensor
 from . import embedding as emb
 from .encoder import twin_forward
 from .embedding import EmbeddingParams, PAD_ITEM, UNK_CONTEXT
@@ -31,10 +33,11 @@ VARIANTS = ("full", "full_emb", "wo_dynamic", "plain_attn")
 
 CHECKPOINT_MAGIC = "TWINREC-CKPT-1"
 # Values per rng.uniform call when a parameter is initialised (4 MB of
-# float64): a larger tensor is drawn block by block into its own storage, so
-# no float64 copy of it is built, and a smaller one is drawn whole. Smaller
-# blocks left glibc's dynamic trim threshold low in a process that only
-# loads a model, and serving then re-faulted heap pages on every request.
+# float64): a larger tensor is drawn block by block into its slice of the
+# arena, so no float64 copy of it is built, and a smaller one is drawn
+# whole. Smaller blocks left glibc's dynamic trim threshold low in a process
+# that only loads a model, and serving then re-faulted heap pages on every
+# request.
 INIT_BLOCK = 1 << 19
 
 
@@ -69,56 +72,77 @@ class ModelConfig:
         rest = math.ceil(self.vocab_size / math.prod(head))
         return head + [rest]
 
+    def layout(self):
+        """Each parameter's name -> (``count_parameters`` bucket, shape), in the order in which
+        the parameter arena and a checkpoint's payload pack them."""
+        d, v = self.dim, self.vocab_size
+        n_conv = 0 if self.variant == "plain_attn" else self.n_heads
+        width = 2 * self.n_heads * d
+        out = {f"emb.table{n}": ("embedding", (m, d)) for n, m in enumerate(self.table_sizes())}
+        out["emb.context"] = ("context", (self.n_contexts, d))
+        if self.variant != "wo_dynamic":
+            out["fusion.w_att"] = ("fusion", (d, d))
+        out.update({"fusion.w_mix": ("fusion", (2 * d, d)), "fusion.b_mix": ("fusion", (d,))})
+        for l in range(self.n_layers):
+            out.update({f"enc{l}.conv{h}.kernel": ("encoder", (self.kernel_size, d))
+                        for h in range(n_conv)})
+            out.update({f"enc{l}.attn{h}.w{x}": ("encoder", (d, d))
+                        for h in range(2 * self.n_heads - n_conv) for x in "qkv"})
+            out.update({f"enc{l}.pos": ("positional", (self.max_len, d)),
+                        f"enc{l}.ffn.w1": ("ffn", (width, width)), f"enc{l}.ffn.b1": ("ffn", (width,)),
+                        f"enc{l}.ffn.w2": ("ffn", (width, d)), f"enc{l}.ffn.b2": ("ffn", (d,))})
+        out.update({"out.w": ("output", (d, v)), "out.b": ("output", (v,))})
+        return out
+
+    def count_parameters(self):
+        """Exact per-bucket value counts, the total, and the embedding's share of a full table."""
+        buckets = {}
+        for bucket, shape in self.layout().values():
+            buckets[bucket] = buckets.get(bucket, 0) + math.prod(shape)
+        buckets["total"] = sum(buckets.values())
+        buckets["embedding_compression_ratio"] = buckets["embedding"] / (self.dim * self.vocab_size)
+        return buckets
+
+
+def checkpoint_manifest(config, dtype):
+    """Each tensor's name, dtype, shape and byte offset in a payload of ``dtype``, and its length."""
+    dtype, entries, offset = np.dtype(dtype), [], 0
+    for name, (_, shape) in config.layout().items():
+        entries.append({"name": name, "dtype": str(dtype), "shape": list(shape), "offset": offset})
+        offset += math.prod(shape) * dtype.itemsize
+    return entries, offset
+
 
 class SequentialRecommender:
-    """Trainable next-item model; parameters live in a stable, named dict."""
+    """Trainable next-item model; its parameters are the views of one ``Arena``."""
 
     def __init__(self, config, seed=0):
         self.config = config
         self.seed = seed
-        self.params = {}
-        d = config.dim
-
-        def new_param(name, shape, zero=False):
+        self.params = p = Arena({name: shape for name, (_, shape) in config.layout().items()})
+        bound = 1.0 / math.sqrt(config.dim)
+        for name, t in p.items():
+            if t.data.ndim == 1:
+                continue  # biases start at zero
             # Each tensor draws from its own name-keyed stream so variants
             # sharing a parameter name initialise identically; one uniform
             # draw per value, so blocking keeps the values.
-            data = np.zeros(shape, autodiff._DTYPE)
-            if not zero:
-                rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
-                bound, flat = 1.0 / math.sqrt(d), data.reshape(-1)
-                for lo in range(0, flat.size, INIT_BLOCK):
-                    block = flat[lo:lo + INIT_BLOCK]
-                    block[...] = rng.uniform(-bound, bound, size=block.size)
-            t = Tensor(data, requires_grad=True)
-            self.params[name] = t
-            return t
+            rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
+            flat = t.data.reshape(-1)
+            for lo in range(0, flat.size, INIT_BLOCK):
+                block = flat[lo:lo + INIT_BLOCK]
+                block[...] = rng.uniform(-bound, bound, size=block.size)
 
-        tables = [new_param(f"emb.table{n}", (m, d)) for n, m in enumerate(config.table_sizes())]
-        context_table = new_param("emb.context", (config.n_contexts, d))
-        w_att = None if config.variant == "wo_dynamic" else new_param("fusion.w_att", (d, d))
-        w_mix = new_param("fusion.w_mix", (2 * d, d))
-        b_mix = new_param("fusion.b_mix", (d,), zero=True)
-        self.embedding = EmbeddingParams(tables, context_table, w_att, w_mix, b_mix)
-
+        tables = [p[f"emb.table{n}"] for n in range(len(config.table_sizes()))]
+        self.embedding = EmbeddingParams(tables, p["emb.context"], p.get("fusion.w_att"),
+                                         p["fusion.w_mix"], p["fusion.b_mix"])
         n_conv = 0 if config.variant == "plain_attn" else config.n_heads
-        n_attn = 2 * config.n_heads - n_conv
-        width = (n_conv + n_attn) * d
-        self.layers = []
-        for l in range(config.n_layers):
-            kernels = [new_param(f"enc{l}.conv{h}.kernel", (config.kernel_size, d))
-                       for h in range(n_conv)]
-            attn_heads = [tuple(new_param(f"enc{l}.attn{h}.w{x}", (d, d)) for x in "qkv")
-                          for h in range(n_attn)]
-            positions = new_param(f"enc{l}.pos", (config.max_len, d))
-            ffn = (new_param(f"enc{l}.ffn.w1", (width, width)),
-                   new_param(f"enc{l}.ffn.b1", (width,), zero=True),
-                   new_param(f"enc{l}.ffn.w2", (width, d)),
-                   new_param(f"enc{l}.ffn.b2", (d,), zero=True))
-            self.layers.append((kernels, attn_heads, positions, ffn))
-
-        new_param("out.w", (d, config.vocab_size))
-        new_param("out.b", (config.vocab_size,), zero=True)
+        self.layers = [([p[f"enc{l}.conv{h}.kernel"] for h in range(n_conv)],
+                        [tuple(p[f"enc{l}.attn{h}.w{x}"] for x in "qkv")
+                         for h in range(2 * config.n_heads - n_conv)],
+                        p[f"enc{l}.pos"],
+                        tuple(p[f"enc{l}.ffn.{x}"] for x in ("w1", "b1", "w2", "b2")))
+                       for l in range(config.n_layers)]
 
     # -- forward --------------------------------------------------------
 
@@ -193,115 +217,75 @@ class SequentialRecommender:
     # -- accounting -----------------------------------------------------
 
     def count_parameters(self):
-        """Exact per-component value counts from the parameter registry."""
-        buckets = {"embedding": 0, "context": 0, "fusion": 0, "encoder": 0,
-                   "positional": 0, "ffn": 0, "output": 0}
-        for name, p in self.params.items():
-            if name.startswith("emb.table"):
-                key = "embedding"
-            elif name == "emb.context":
-                key = "context"
-            elif name.startswith("fusion."):
-                key = "fusion"
-            elif ".conv" in name or ".attn" in name:
-                key = "encoder"
-            elif name.endswith(".pos"):
-                key = "positional"
-            elif ".ffn." in name:
-                key = "ffn"
-            else:
-                key = "output"
-            buckets[key] += p.data.size
-        buckets["total"] = sum(buckets.values())
-        full_table = self.config.dim * self.config.vocab_size
-        buckets["embedding_compression_ratio"] = buckets["embedding"] / full_table
-        return buckets
+        return self.config.count_parameters()
 
     # -- persistence ----------------------------------------------------
 
     def save(self, path, vocab_digest=None):
-        """Write config + manifest + raw little-endian payload, and ``vocab_digest`` if given."""
-        manifest, raws, offset = [], [], 0
-        for name, p in self.params.items():
-            raw = np.ascontiguousarray(p.data, dtype="<f8" if p.data.dtype == np.float64 else "<f4")
-            manifest.append({"name": name,
-                             "dtype": str(raw.dtype),
-                             "shape": list(raw.shape),
-                             "offset": offset})
-            raws.append(raw)
-            offset += raw.nbytes
+        """Write config + manifest + the arena's little-endian bytes, and ``vocab_digest`` if given."""
+        raw = np.asarray(self.params.flat, self.params.flat.dtype.newbyteorder("<"))
         header = {"magic": CHECKPOINT_MAGIC,
                   "config": asdict(self.config),
                   "seed": self.seed,
-                  "tensors": manifest}
+                  "tensors": checkpoint_manifest(self.config, raw.dtype)[0]}
         if vocab_digest is not None:
             header["vocab_digest"] = vocab_digest
         with atomic_write(path, binary=True) as f:
             f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
             f.write(b"\n")
-            for raw in raws:
-                f.write(raw)
+            f.write(raw)
 
     @classmethod
     def load(cls, path):
-        """Read each tensor, listed in the model's order and packed end to end, into the model.
-
-        The model's ``vocab_digest`` is the one ``save`` wrote, or None.
-        """
+        """Check the manifest and payload length against the header config's layout before building
+        the model, then read the payload into its arena. ``vocab_digest`` is ``save``'s, or None."""
         with open(path, "rb") as f:
-            header = json.loads(f.readline().decode("utf-8"))
-            if header.get("magic") != CHECKPOINT_MAGIC:
-                raise ValueError(f"{path}: not a checkpoint file")
             try:
-                model = cls(ModelConfig(**header["config"]), seed=header["seed"])
-                entries = [(e["name"], list(e["shape"]), e["offset"], np.dtype(e["dtype"]))
-                           for e in header["tensors"]]
+                header = json.loads(f.readline())
+            except ValueError:  # not JSON, or not UTF-8
+                header = None
+            if not isinstance(header, dict) or header.get("magic") != CHECKPOINT_MAGIC:
+                raise ValueError(f"{path}: not a checkpoint file")
+            payload = os.fstat(f.fileno()).st_size - f.tell()
+            try:
+                config = ModelConfig(**header["config"])
+                seed, entries = header["seed"], list(header["tensors"])
+                first = entries[0] if entries and isinstance(entries[0], dict) else {}
+                dtype = np.dtype(np.float64 if first.get("dtype") == "float64" else np.float32)
+                want, size = checkpoint_manifest(config, dtype)
+                model = cls(config, seed=seed) if entries == want and payload == size else None
             except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}: malformed header ({type(e).__name__}: {e}); "
                                  f"run train again") from None
+            for k, (got, expected) in enumerate(zip_longest(entries, want)):
+                if got != expected:
+                    raise ValueError(f"{path}: manifest entry {k} is {got}, where the model's "
+                                     f"layout has {expected}")
+            if payload != size:
+                raise ValueError(f"{path}: the payload holds {payload} bytes, but the manifest's "
+                                 f"last tensor, {want[-1]['name']!r}, ends at byte {size}")
             model.vocab_digest = header.get("vocab_digest")
-            offset = 0
-            if len(entries) > len(model.params):
-                raise ValueError(f"{path}: unknown tensor {entries[len(model.params)][0]!r}")
-            for k, (name, p) in enumerate(model.params.items()):
-                got, shape, at, dtype = entries[k] if k < len(entries) else (None,) * 4
-                if got != name:
-                    raise ValueError(f"{path}: manifest entry {k} is {got!r}, "
-                                     f"the model expects tensor {name!r}")
-                if tuple(shape) != p.data.shape or at != offset or dtype.kind != "f":
-                    raise ValueError(f"{path}: tensor {name!r} has shape {shape} and dtype {dtype} "
-                                     f"at offset {at}, not {list(p.data.shape)} floats at {offset}")
-                raw = p.data if dtype == p.data.dtype else np.empty(p.data.shape, dtype)
-                offset += raw.nbytes
-                if f.readinto(raw) != raw.nbytes:
-                    raise ValueError(f"{path}: tensor {name!r} runs past the end of the payload")
-                if raw is not p.data:
-                    p.data[...] = raw
-            if f.read(1):
-                raise ValueError(f"{path}: the payload is longer than its {offset}-byte manifest")
+            if dtype == model.params.flat.dtype:
+                f.readinto(model.params.flat)
+            else:
+                model.params.flat[...] = np.frombuffer(f.read(), dtype)
         return model
 
     def state_snapshot(self):
-        return {name: np.array(p.data, copy=True) for name, p in self.params.items()}
+        return self.params.flat.copy()
 
     def load_snapshot(self, snapshot):
-        for name, p in self.params.items():
-            np.copyto(p.data, snapshot[name])
+        np.copyto(self.params.flat, snapshot)
 
 
 def l2_penalty(params):
-    """Sum of squared values over every trainable tensor, as one graph node.
-
-    The value is summed in float64 over dot products of BLOCK-sized slices,
-    so no squared copy of a tensor is built.
-    """
-    tensors = tuple(params.values())
+    """Sum of squared values over the ``Arena`` ``params``, as one graph node; summed in float64
+    over dot products of BLOCK-sized slices of the arena, so no squared copy is built."""
+    flat, tensors = params.flat, tuple(params.values())
     total = 0.0
-    for p in tensors:
-        flat = p.data.reshape(-1)
-        for lo in range(0, flat.size, BLOCK):
-            total += float(np.vdot(flat[lo:lo + BLOCK], flat[lo:lo + BLOCK]))
-    out = Tensor._result(np.asarray(total, dtype=tensors[0].data.dtype), tensors)
+    for lo in range(0, flat.size, BLOCK):
+        total += float(np.vdot(flat[lo:lo + BLOCK], flat[lo:lo + BLOCK]))
+    out = Tensor._result(np.asarray(total, dtype=flat.dtype), tensors)
     if out.requires_grad:
         def bw(g):
             for p in tensors:

@@ -35,12 +35,12 @@ class TrainConfig:
 
 
 class Adam:
-    """Bias-corrected Adam over a named parameter dict, updated in place.
+    """Bias-corrected Adam over an ``Arena`` of parameters, updated in place.
 
-    ``p.data`` and the moments ``m`` and ``v`` are updated in place, BLOCK
-    elements at a time through two block-sized scratch buffers per
-    parameter, so a step allocates no parameter-sized array and each block
-    stays in cache.
+    One pass per step walks the arena, its gradient arena and the moments
+    ``m`` and ``v`` (flat arrays of the same layout) BLOCK elements at a time
+    through two block-sized scratch buffers, so a step allocates no
+    parameter-sized array and each block stays in cache.
     Each block applies the plain formula's operations in its order,
 
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
@@ -53,44 +53,42 @@ class Adam:
         self.params = params
         self.config = config
         self.t = 0
-        self.m = {name: np.zeros(p.data.shape, p.data.dtype) for name, p in params.items()}
-        self.v = {name: np.zeros(p.data.shape, p.data.dtype) for name, p in params.items()}
-        self._scratch = {name: (np.empty(min(p.data.size, BLOCK), p.data.dtype),
-                                np.empty(min(p.data.size, BLOCK), p.data.dtype))
-                         for name, p in params.items()}
+        self.grad = params.grad_flat()
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
+        self._scratch = np.empty((2, min(self.m.size, BLOCK)), self.m.dtype)
 
     def step(self):
         missing = [name for name, p in self.params.items() if p.grad is None]
         if missing:
             raise RuntimeError(f"parameters without gradients: {missing}")
+        for p in self.params.values():
+            if p.grad is not p._grad_buf:  # assigned by the caller: copy it into the arena
+                np.copyto(p._grad_buf, p.grad)
         self.t += 1
         b1, b2, lr, eps = BETA1, BETA2, self.config.lr, EPS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for name, p in self.params.items():
-            if not (p.data.flags.c_contiguous and p.data.flags.writeable):
-                p.data = p.data.copy()  # so the flat view below writes through
-            x, g = p.data.reshape(-1), p.grad.reshape(-1)
-            m, v = self.m[name].reshape(-1), self.v[name].reshape(-1)
-            a, b = self._scratch[name]
-            for lo in range(0, x.size, BLOCK):
-                s = slice(lo, lo + BLOCK)
-                xs, gs, ms, vs = x[s], g[s], m[s], v[s]
-                sa, sb = a[:xs.size], b[:xs.size]
-                np.multiply(ms, b1, out=ms)
-                np.multiply(gs, 1.0 - b1, out=sa)
-                np.add(ms, sa, out=ms)
-                np.multiply(vs, b2, out=vs)
-                np.multiply(gs, 1.0 - b2, out=sa)
-                np.multiply(sa, gs, out=sa)
-                np.add(vs, sa, out=vs)
-                np.divide(ms, bc1, out=sa)
-                np.divide(vs, bc2, out=sb)
-                np.multiply(sa, lr, out=sa)
-                np.sqrt(sb, out=sb)
-                np.add(sb, eps, out=sb)
-                np.divide(sa, sb, out=sa)
-                np.subtract(xs, sa, out=xs)
+        x, g, m, v = self.params.flat, self.grad, self.m, self.v
+        a, b = self._scratch
+        for lo in range(0, x.size, BLOCK):
+            s = slice(lo, lo + BLOCK)
+            xs, gs, ms, vs = x[s], g[s], m[s], v[s]
+            sa, sb = a[:xs.size], b[:xs.size]
+            np.multiply(ms, b1, out=ms)
+            np.multiply(gs, 1.0 - b1, out=sa)
+            np.add(ms, sa, out=ms)
+            np.multiply(vs, b2, out=vs)
+            np.multiply(gs, 1.0 - b2, out=sa)
+            np.multiply(sa, gs, out=sa)
+            np.add(vs, sa, out=vs)
+            np.divide(ms, bc1, out=sa)
+            np.divide(vs, bc2, out=sb)
+            np.multiply(sa, lr, out=sa)
+            np.sqrt(sb, out=sb)
+            np.add(sb, eps, out=sb)
+            np.divide(sa, sb, out=sa)
+            np.subtract(xs, sa, out=xs)
 
 
 def rank_of(scores, target):

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from twinrec.autodiff import Tensor, finite_diff_check, use_dtype
+from twinrec.autodiff import Arena, Tensor, finite_diff_check, use_dtype
 from twinrec.cli import main as cli_main
 from twinrec.data import (UserSequence, build_context_vocab,
                           generate_training_samples)
@@ -130,8 +130,10 @@ def test_criterion_5_oracle_equivalence():
 
     # Adam vs reference update on a scalar
     with use_dtype(np.float64):
-        p = Tensor([1.0], requires_grad=True)
-        opt = Adam({"p": p}, TrainConfig(lr=0.1, epochs=1))
+        params = Arena({"p": (1,)})
+        p = params["p"]
+        p.data[0] = 1.0
+        opt = Adam(params, TrainConfig(lr=0.1, epochs=1))
         theta, m, v, b1, b2 = 1.0, 0.0, 0.0, 0.9, 0.999
         for t_step in range(1, 4):
             g = 2.0 * p.data[0]

@@ -156,6 +156,15 @@ class TestCountParams:
         assert "(50.02%)" in out
         assert "twin 99584 vs plain 2H-head attention 196608" in out
 
+    def test_counts_a_catalog_too_large_to_build(self, capsys):
+        assert main(["count-params", "--set", "vocab_size=100000000000"]) == 0
+        # Defaults: D=128, two tables (2 and |V|/2 rows), one context row,
+        # H=2 conv and 2 attention heads of width L=5, max_len 50, FFN width 4D.
+        v, d, w = 100_000_000_000, 128, 4 * 128
+        total = ((2 + v // 2) * d + d + (d * d + 2 * d * d + d) + 2 * (5 * d + 3 * d * d)
+                 + 50 * d + (w * w + w + w * d + d) + (d * v + v))
+        assert f"total: {total}\n" in capsys.readouterr().out
+
 
 class TestGradcheck:
     def test_passes_on_tiny_model(self, capsys):
@@ -263,6 +272,33 @@ class TestPipeline:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(ckpt) in err[0]
         assert not list(ws.glob("metrics_*.json"))
+
+    @pytest.mark.parametrize("line", [b"[1, 2]", b"null", b"hello", b"\x80\xff{}"],
+                             ids=["list", "null", "not_json", "not_utf8"])
+    def test_header_that_is_not_a_json_object_is_one_error_line(self, workspace, capsys, line):
+        ws, log = workspace
+        args = SMALL + ["--set", "epochs=1", "--set", f"data={log}"]
+        assert main(["prepare-data"] + args) == 0
+        assert main(["train"] + args) == 0
+        ckpt = ws / "checkpoint.bin"
+        ckpt.write_bytes(line + b"\n" + ckpt.read_bytes().split(b"\n", 1)[1])
+        capsys.readouterr()
+        assert main(["evaluate"] + args) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {ckpt}: not a checkpoint file"]
+
+    def test_header_of_a_huge_model_is_one_error_line(self, workspace, capsys):
+        ws, log = workspace
+        args = SMALL + ["--set", "epochs=1", "--set", f"data={log}"]
+        assert main(["prepare-data"] + args) == 0
+        assert main(["train"] + args) == 0
+        ckpt = ws / "checkpoint.bin"
+        header = json.loads(ckpt.read_bytes().split(b"\n", 1)[0])
+        header["config"]["vocab_size"] = 100_000_000_000
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n")
+        capsys.readouterr()
+        assert main(["evaluate"] + args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: ")
 
     def test_bad_checkpoint_is_one_error_line(self, workspace, capsys):
         ws, log = workspace

@@ -4,15 +4,16 @@ import json
 import math
 import tracemalloc
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinrec.autodiff import Tensor, finite_diff_check, use_dtype, zero_grads
-from twinrec.model import (VARIANTS, ModelConfig, SequentialRecommender, build_variant,
-                           l2_penalty)
+from twinrec.autodiff import Arena, Tensor, finite_diff_check, use_dtype, zero_grads
+from twinrec.model import (CHECKPOINT_MAGIC, VARIANTS, ModelConfig, SequentialRecommender,
+                           build_variant, checkpoint_manifest, l2_penalty)
 
 
 def tiny_config(**kwargs):
@@ -139,15 +140,17 @@ class TestLoss:
 
     def test_l2_penalty_only(self):
         # lam=1, single parameter psi=2, zero cross-entropy term -> 4
-        params = {"psi": Tensor([2.0], requires_grad=True)}
+        params = Arena({"psi": (1,)})
+        params["psi"].data[...] = 2.0
         assert l2_penalty(params).item() == pytest.approx(4.0)
 
     def test_l2_value_matches_float64_sum(self):
         # An output layer at |V| = 100k: one float32 dot product over all of
         # it is off by about 1e-5.
         rng = np.random.default_rng(8)
-        params = {"w": Tensor(rng.uniform(-0.125, 0.125, (64, 100_000)), requires_grad=True),
-                  "b": Tensor(rng.uniform(-1.0, 1.0, 7), requires_grad=True)}
+        params = Arena({"w": (64, 100_000), "b": (7,)})
+        params["w"].data[...] = rng.uniform(-0.125, 0.125, (64, 100_000))
+        params["b"].data[...] = rng.uniform(-1.0, 1.0, 7)
         expect = sum(float(np.sum(p.data.astype(np.float64) ** 2)) for p in params.values())
         assert l2_penalty(params).item() == pytest.approx(expect, rel=1e-6)
 
@@ -453,6 +456,43 @@ class TestCheckpoint:
         build_variant(variant, tiny_config(n_layers=2, n_tables=3), seed=5).save(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN[variant]
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_pinned_checkpoints_survive_load_and_save(self, tmp_path, variant):
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        build_variant(variant, tiny_config(n_layers=2, n_tables=3), seed=5).save(first)
+        SequentialRecommender.load(first).save(second)
+        assert hashlib.sha256(second.read_bytes()).hexdigest() == self.GOLDEN[variant]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_parameters_are_views_of_the_arena_at_the_manifest_offsets(self, variant):
+        model = build_variant(variant, tiny_config(n_layers=2, n_tables=3), seed=5)
+        flat = model.params.flat
+        manifest, size = checkpoint_manifest(model.config, flat.dtype)
+        assert [e["name"] for e in manifest] == list(model.params)
+        assert size == flat.nbytes
+        for entry, p in zip(manifest, model.params.values()):
+            assert p.data.base is flat and p.data.flags.c_contiguous
+            assert p.data.ctypes.data == flat.ctypes.data + entry["offset"]
+            assert list(p.data.shape) == entry["shape"]
+
+    def test_header_of_a_huge_model_is_rejected_before_allocation(self, tmp_path):
+        # 10^11 items: the model would need terabytes; the header and its
+        # manifest agree, but the payload is empty.
+        config = tiny_config(vocab_size=100_000_000_000)
+        header = {"magic": CHECKPOINT_MAGIC, "config": asdict(config), "seed": 0,
+                  "tensors": checkpoint_manifest(config, np.float32)[0]}
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(json.dumps(header).encode() + b"\n")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="payload holds 0 bytes"):
+                SequentialRecommender.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_float64_checkpoint_loads_into_float32_model(self, tmp_path):
         with use_dtype(np.float64):
             model = SequentialRecommender(tiny_config(), seed=22)
@@ -520,4 +560,4 @@ class TestCheckpoint:
         model.load_snapshot(snapshot)
         for name, p in model.params.items():
             assert p.data is arrays[name]
-            np.testing.assert_array_equal(p.data, snapshot[name])
+        np.testing.assert_array_equal(model.params.flat, snapshot)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twinrec.autodiff import BLOCK, Tensor, use_dtype
+from twinrec.autodiff import BLOCK, Arena, use_dtype
 from twinrec.data import (UserSequence, build_context_vocab, eval_input,
                           generate_training_samples)
 from twinrec.model import ModelConfig, SequentialRecommender
@@ -24,6 +24,14 @@ def reference_adam(theta, grads, lr=0.1, b1=0.9, b2=0.999, eps=1e-8):
     return theta
 
 
+def arena_of(**values):
+    """An Arena of one leaf per keyword, holding that value."""
+    params = Arena({name: np.shape(value) for name, value in values.items()})
+    for name, value in values.items():
+        params[name].data[...] = value
+    return params
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("key,value", [("lr", "nan"), ("lr", "inf"), ("lr", "0"),
                                            ("l2", "nan"), ("l2", "inf"), ("l2", "-1")])
@@ -34,16 +42,16 @@ class TestTrainConfig:
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        p = Tensor([1.0, 2.0], requires_grad=True)
-        opt = Adam({"p": p}, TrainConfig(lr=0.1, epochs=1))
+        params = arena_of(p=[1.0, 2.0])
+        p = params["p"]
+        opt = Adam(params, TrainConfig(lr=0.1, epochs=1))
         p.grad = np.zeros(2, dtype=p.data.dtype)
         opt.step()
         assert opt.t == 1
         np.testing.assert_array_equal(p.data, [1.0, 2.0])
 
     def test_missing_gradient_rejected(self):
-        p = Tensor([1.0], requires_grad=True)
-        opt = Adam({"p": p}, TrainConfig(epochs=1))
+        opt = Adam(arena_of(p=[1.0]), TrainConfig(epochs=1))
         with pytest.raises(RuntimeError):
             opt.step()
 
@@ -51,8 +59,9 @@ class TestAdam:
         # f(theta) = theta^2, three steps, checked against the reference update
         from twinrec.autodiff import use_dtype
         with use_dtype(np.float64):
-            p = Tensor([1.0], requires_grad=True)
-            opt = Adam({"p": p}, TrainConfig(lr=0.1, epochs=1))
+            params = arena_of(p=[1.0])
+            p = params["p"]
+            opt = Adam(params, TrainConfig(lr=0.1, epochs=1))
             grads = []
             for _ in range(3):
                 grads.append(2.0 * p.data[0])
@@ -63,9 +72,9 @@ class TestAdam:
         assert p.data[0] == pytest.approx(expect, abs=1e-10)
 
     def test_identical_state_identical_updates(self):
-        a = Tensor([0.5], requires_grad=True)
-        b = Tensor([0.5], requires_grad=True)
-        opt = Adam({"a": a, "b": b}, TrainConfig(lr=0.01, epochs=1))
+        params = arena_of(a=[0.5], b=[0.5])
+        a, b = params["a"], params["b"]
+        opt = Adam(params, TrainConfig(lr=0.01, epochs=1))
         a.grad = np.array([0.3], dtype=a.data.dtype)
         b.grad = np.array([0.3], dtype=b.data.dtype)
         opt.step()
@@ -76,9 +85,10 @@ class TestAdam:
         # More than two blocks, the last one partial.
         rng = np.random.default_rng(4)
         with use_dtype(dtype):
-            p = Tensor(rng.standard_normal((3, BLOCK - 5)), requires_grad=True)
+            params = arena_of(p=rng.standard_normal((3, BLOCK - 5)))
+        p = params["p"]
         cfg = TrainConfig(lr=0.01, epochs=1)
-        opt = Adam({"p": p}, cfg)
+        opt = Adam(params, cfg)
         theta, m, v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)
         for t in range(1, 6):
             g = rng.standard_normal(p.data.shape).astype(dtype)
@@ -92,15 +102,16 @@ class TestAdam:
             theta = theta - cfg.lr * m_hat / (np.sqrt(v_hat) + EPS)
         assert p.data.dtype == theta.dtype == dtype
         np.testing.assert_array_equal(p.data, theta)
-        np.testing.assert_array_equal(opt.m["p"], m)
-        np.testing.assert_array_equal(opt.v["p"], v)
+        np.testing.assert_array_equal(opt.m, m.reshape(-1))
+        np.testing.assert_array_equal(opt.v, v.reshape(-1))
 
     def test_step_allocates_no_parameter_sized_array(self):
         # A (64, 100000) float32 tensor is 25.6 MB; a step that builds
         # whole-array temporaries peaks at several times that.
-        p = Tensor(np.zeros((64, 100_000)), requires_grad=True)
+        params = Arena({"p": (64, 100_000)})
+        p = params["p"]
         p.grad = np.full(p.data.shape, 0.5, dtype=p.data.dtype)
-        opt = Adam({"p": p}, TrainConfig(epochs=1))
+        opt = Adam(params, TrainConfig(epochs=1))
         tracemalloc.start()
         try:
             opt.step()
@@ -109,6 +120,20 @@ class TestAdam:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert np.all(p.data < 0)
+
+    def test_gradients_from_before_the_optimiser_are_not_ignored(self):
+        # A backward pass run before Adam exists leaves each gradient outside
+        # the gradient arena: the step copies it in, as if Adam came first.
+        later, samples, _, _ = tiny_setup(seed=4)
+        first, _, _, _ = tiny_setup(seed=4)
+        start = later.state_snapshot()
+        later.training_loss(samples[:16], 1e-3).backward()
+        Adam(later.params, TrainConfig(epochs=1)).step()
+        opt = Adam(first.params, TrainConfig(epochs=1))
+        first.training_loss(samples[:16], 1e-3).backward()
+        opt.step()
+        assert not np.array_equal(later.params.flat, start)
+        np.testing.assert_array_equal(later.params.flat, first.params.flat)
 
 
 class TestMetrics:
@@ -219,8 +244,7 @@ class TestTrain:
         model, samples, seqs, ctx_vocab = tiny_setup(seed=3)
         before = model.state_snapshot()
         result = train(model, samples, TrainConfig(epochs=0, seed=0))
-        for name, arr in before.items():
-            np.testing.assert_array_equal(arr, model.params[name].data)
+        np.testing.assert_array_equal(before, model.params.flat)
         assert result.history == []
 
     def test_same_seed_same_trajectory(self):
