@@ -8,13 +8,15 @@ forward passes in ``use_dtype(np.float64)`` when checking gradients.
 Only the operations the model actually needs are implemented: elementwise
 arithmetic with numpy-style broadcasting, matmul and transpose over the last
 two axes (leading batch axes broadcast), concat, numpy indexing (a row
-gather's backward is one scatter-add), masked softmax / log-softmax, SiLU,
-GeLU, sum and reshape. Inside ``no_grad()`` nothing is recorded.
+gather's backward is one scatter-add), masked softmax, SiLU, GeLU, sum,
+reshape and a fused mean cross-entropy. Inside ``no_grad()`` nothing is
+recorded.
 
 A leaf tensor (``requires_grad`` with no parents, i.e. a parameter) keeps
 its gradient in a buffer that lives across steps: ``zero_grads`` sets
-``grad`` to None, and the next backward copies its first contribution into
-the same buffer and adds later ones in place. A caller that keeps a
+``grad`` to None, and the next backward writes its first contribution into
+the same buffer (a weight's product with ``out=``, a gather's scatter into
+the zeroed buffer) and adds later ones in place. A caller that keeps a
 gradient past the next backward copies it. An ``Arena`` holds leaves as
 views of one flat array.
 """
@@ -97,6 +99,17 @@ class Tensor:
         out._grad_buf = None
         return out
 
+    def _first_grad_buffer(self):
+        """The buffer a leaf's first gradient of a step goes into, now its ``grad``, for the caller
+        to fill; None when this is not a leaf or already has its gradient for the step."""
+        if self.grad is not None or self._parents:
+            return None
+        buf = self._grad_buf
+        if buf is None or buf.shape != self.data.shape or buf.dtype != self.data.dtype:
+            buf = self._grad_buf = np.empty(self.data.shape, self.data.dtype)
+        self.grad = buf
+        return buf
+
     def _accum(self, g):
         # ``g`` may be another node's gradient or a read-only broadcast view,
         # so it is never updated in place. A leaf copies the first ``g`` of a
@@ -104,18 +117,23 @@ class Tensor:
         # place, so a (D, |V|) gradient is not allocated and page-faulted in
         # every step; any other node keeps its first ``g`` as is.
         g = np.asarray(g, dtype=self.data.dtype)
-        if self.grad is None and not self._parents:
-            buf = self._grad_buf
-            if buf is None or buf.shape != self.data.shape or buf.dtype != self.data.dtype:
-                buf = self._grad_buf = np.empty(self.data.shape, self.data.dtype)
+        buf = self._first_grad_buffer()
+        if buf is not None:
             np.copyto(buf, g)
-            self.grad = buf
         elif self.grad is None:
             self.grad = g
         elif self.grad is self._grad_buf:
             self.grad += g
         else:
             self.grad = self.grad + g
+
+    def _accum_matmul(self, x, y):
+        """``_accum(x @ y)``, with a leaf's first gradient written straight into its buffer."""
+        buf = self._first_grad_buffer()
+        if buf is None:
+            self._accum(x @ y)
+        else:
+            np.matmul(x, y, out=buf)
 
     @property
     def shape(self):
@@ -185,10 +203,14 @@ class Tensor:
         out = Tensor._result(self.data @ other.data, (self, other))
         if out.requires_grad:
             def bw(g):
+                a, b = self.data, other.data
                 if self.requires_grad:
-                    self._accum(_unbroadcast(g @ other.data.swapaxes(-1, -2), self.data.shape))
-                if other.requires_grad:
-                    other._accum(_unbroadcast(self.data.swapaxes(-1, -2) @ g, other.data.shape))
+                    self._accum(_unbroadcast(g @ b.swapaxes(-1, -2), a.shape))
+                if other.requires_grad and b.ndim == 2:
+                    # One GEMM over all leading axes of ``a``: no stack of per-row products.
+                    other._accum_matmul(a.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]))
+                elif other.requires_grad:
+                    other._accum(_unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
             out._backward = bw
         return out
 
@@ -222,12 +244,19 @@ class Tensor:
             basic = _is_basic(key)
 
             def bw(g):
-                buf = np.zeros_like(self.data)
+                # A leaf's first gradient is scattered into its own zeroed buffer.
+                buf = self._first_grad_buffer()
+                first = buf is not None
+                if first:
+                    buf.fill(0)
+                else:
+                    buf = np.zeros_like(self.data)
                 if basic:  # a view selects each element at most once
                     buf[key] += g
                 else:
                     np.add.at(buf, key, g)
-                self._accum(buf)
+                if not first:
+                    self._accum(buf)
             out._backward = bw
         return out
 
@@ -272,15 +301,6 @@ class Tensor:
             out._backward = lambda g: self._accum(y * (g - (g * y).sum(axis=axis, keepdims=True)))
         return out
 
-    def log_softmax(self, axis=-1):
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        ls = shifted - lse
-        out = Tensor._result(ls, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accum(g - np.exp(ls) * g.sum(axis=axis, keepdims=True))
-        return out
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -294,6 +314,36 @@ def _is_basic(key):
 
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def cross_entropy(logits, targets):
+    """Mean over rows of ``-log softmax(logits)[row, target]``: logits (B, C), int targets (B,).
+
+    One node with one (B, C) working array: the forward overwrites it with
+    ``exp(logits - row max)`` and the backward with ``(softmax - onehot) * g / B``. When
+    ``logits`` is the output of a recorded op, that array is ``logits.data`` itself, so the node
+    allocates none: the caller then drops ``logits`` and makes it with an op whose backward does
+    not read its own output (a matmul or a sum does not; a softmax does). A leaf's or a
+    constant's data is copied.
+    """
+    x = logits.data if logits._parents else logits.data.copy()
+    targets = np.asarray(targets, dtype=np.int64)
+    if x.ndim != 2 or targets.shape != x.shape[:1]:
+        raise ValueError(f"cross_entropy: logits {x.shape} and targets {targets.shape} misaligned")
+    rows = np.arange(len(targets))
+    np.subtract(x, x.max(axis=-1, keepdims=True), out=x)
+    picked = x[rows, targets]
+    np.exp(x, out=x)
+    s = x.sum(axis=-1)
+    out = Tensor._result(np.asarray(np.mean(np.log(s) - picked), dtype=x.dtype), (logits,))
+    if out.requires_grad:
+        def bw(g):
+            np.divide(x, s[:, None], out=x)
+            x[rows, targets] -= 1.0
+            np.multiply(x, g / len(rows), out=x)
+            logits._accum(x)
+        out._backward = bw
+    return out
 
 
 def concat(tensors, axis=0):

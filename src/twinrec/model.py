@@ -208,8 +208,7 @@ class SequentialRecommender:
         for row, (window, contexts, _) in enumerate(batch):
             items[row, :len(window)] = window
             ctxs[row, :len(window)] = contexts
-        log_probs = self.forward(items, ctxs)["logits"].log_softmax(axis=-1)
-        loss = log_probs[np.arange(len(batch)), targets].sum() * (-1.0 / len(batch))
+        loss = autodiff.cross_entropy(self.forward(items, ctxs)["logits"], targets)
         if lam:
             loss = loss + lam * l2_penalty(self.params)
         return loss
@@ -280,7 +279,11 @@ class SequentialRecommender:
 
 def l2_penalty(params):
     """Sum of squared values over the ``Arena`` ``params``, as one graph node; summed in float64
-    over dot products of BLOCK-sized slices of the arena, so no squared copy is built."""
+    over dot products of BLOCK-sized slices of the arena, so no squared copy is built.
+
+    The backward adds ``2 g p`` to each gradient: into a leaf's buffer when it is the first
+    contribution, else BLOCK by BLOCK through one scratch array, with the operations of
+    ``grad += 2.0 * g * p``, so the gradients are the same to the bit."""
     flat, tensors = params.flat, tuple(params.values())
     total = 0.0
     for lo in range(0, flat.size, BLOCK):
@@ -288,9 +291,23 @@ def l2_penalty(params):
     out = Tensor._result(np.asarray(total, dtype=flat.dtype), tensors)
     if out.requires_grad:
         def bw(g):
+            c = 2.0 * g
+            scratch = np.empty(min(flat.size, BLOCK), flat.dtype)
             for p in tensors:
-                if p.requires_grad:
-                    p._accum(2.0 * g * p.data)
+                if not p.requires_grad:
+                    continue
+                buf = p._first_grad_buffer()
+                if buf is not None:
+                    np.multiply(c, p.data, out=buf)
+                elif p.grad is not p._grad_buf:  # a gradient the caller assigned
+                    p._accum(c * p.data)
+                else:
+                    x, acc = p.data.reshape(-1), p.grad.reshape(-1)
+                    for lo in range(0, x.size, BLOCK):
+                        xs, gs = x[lo:lo + BLOCK], acc[lo:lo + BLOCK]
+                        s = scratch[:xs.size]
+                        np.multiply(c, xs, out=s)
+                        np.add(gs, s, out=gs)
         out._backward = bw
     return out
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import data as datamod
-from .autodiff import BLOCK, no_grad, zero_grads
+from .autodiff import BLOCK, NumericDomainError, no_grad, zero_grads
 
 
 # Adam's moment decay rates and denominator offset.
@@ -161,6 +162,39 @@ class TrainResult:
     best_val_ndcg10: float
 
 
+def keep_heap():
+    """Keep freed memory in this process's heap for its lifetime, through glibc's ``mallopt``.
+
+    Each training step frees its graph (hundreds of KB to a few MB of arrays) and the next step
+    allocates the same sizes again. With glibc's default dynamic thresholds the heap returns
+    the freed pages to the kernel and the next step faults them back in, thousands of faults a
+    step. Both thresholds are set: fixing only the trim threshold also freezes the mmap
+    threshold where it is (128 KiB at the start), so every larger array is mapped and unmapped
+    each step.
+    Without glibc's ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except OSError:
+        return
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks below 32 MiB come from the heap
+    mallopt(-1, 1 << 30)   # M_TRIM_THRESHOLD: the heap keeps up to 1 GiB of freed memory
+
+
+def _divergence_site(params):
+    """Name the first parameter, in ``params``' order, holding a non-finite value; when all are
+    finite, the one holding the largest absolute value."""
+    for name, p in params.items():
+        if not np.isfinite(p.data).all():
+            return f"parameter {name!r} holds a non-finite value"
+    name, top = max(((name, float(np.abs(p.data).max())) for name, p in params.items()),
+                    key=lambda item: item[1])
+    return f"every parameter is finite; the largest absolute value, {top:g}, is in {name!r}"
+
+
 def train(model, samples, config, val_sequences=None, ctx_vocab=None,
           progress=None):
     """Mini-batch training with seeded shuffling and best-checkpoint retention.
@@ -169,11 +203,15 @@ def train(model, samples, config, val_sequences=None, ctx_vocab=None,
     given) and training stops once it has not improved for ``patience``
     epochs. A copy of the parameters is taken at each improvement and loaded
     back into the model at the end; without validation no copy is taken.
+    A loss that is not finite stops training with a ``RuntimeError`` naming the
+    epoch, the batch and the parameter where the model diverged. The process
+    keeps its freed heap memory from here on (``keep_heap``).
     """
     import time
 
     if not samples:
         raise ValueError("no training samples")
+    keep_heap()
     rng = np.random.default_rng(config.seed)
     optim = Adam(model.params, config)
     history = []
@@ -190,13 +228,16 @@ def train(model, samples, config, val_sequences=None, ctx_vocab=None,
         for lo in range(0, len(order), config.batch_size):
             batch = [samples[i] for i in order[lo:lo + config.batch_size]]
             zero_grads(model.params)
-            loss = model.training_loss(batch, config.l2)
-            value = loss.item()
+            try:
+                # A diverged model overflows here; the loss check below reports it once.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    loss = model.training_loss(batch, config.l2)
+                value, why = loss.item(), ""
+            except NumericDomainError as e:  # a layer refused a non-finite input
+                value, why = math.nan, f" ({e})"
             if not math.isfinite(value):
-                first = batch[0]
-                raise RuntimeError(
-                    f"non-finite loss {value} at epoch {epoch}, batch starting "
-                    f"with items={first[0].tolist()} target={first[2]}")
+                raise RuntimeError(f"training diverged at epoch {epoch}, batch {n_batches}: "
+                                   f"loss {value}{why}; {_divergence_site(model.params)}")
             loss.backward()
             optim.step()
             epoch_loss += value

@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinrec.autodiff import (NumericDomainError, Tensor, concat, finite_diff_check,
-                              no_grad, use_dtype)
+from twinrec.autodiff import (NumericDomainError, Tensor, concat, cross_entropy,
+                              finite_diff_check, no_grad, use_dtype)
 
 
 def test_silu_at_zero():
@@ -129,6 +130,60 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [4.0, 6.0, 8.0])
 
 
+def reference_cross_entropy(x, targets):
+    """Mean CE and its gradient from a float64 numpy log-softmax."""
+    m = x.max(axis=1, keepdims=True)
+    log_probs = x - (m + np.log(np.exp(x - m).sum(axis=1, keepdims=True)))
+    rows = np.arange(len(targets))
+    grad = np.exp(log_probs)
+    grad[rows, targets] -= 1.0
+    return -log_probs[rows, targets].mean(), grad / len(targets)
+
+
+class TestCrossEntropy:
+    @pytest.mark.parametrize("shape,targets,shift", [
+        ((1, 7), [3], 0.0),                    # one row
+        ((5, 4), [2, 2, 0, 2, 3], 0.0),        # repeated targets
+        ((4, 6), [5, 0, 1, 5], 1e4),           # exp(logits) would overflow unshifted
+    ])
+    def test_matches_numpy_log_softmax(self, shape, targets, shift):
+        rng = np.random.default_rng(len(targets))
+        x = rng.standard_normal(shape) * 3.0 + shift
+        want, want_grad = reference_cross_entropy(x, np.array(targets))
+        with use_dtype(np.float64), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            leaf = Tensor(x, requires_grad=True)
+            loss = cross_entropy(leaf * 1.0, targets)  # a recorded op's output: used in place
+            loss.backward()
+        assert loss.item() == pytest.approx(want, abs=1e-12)
+        np.testing.assert_allclose(leaf.grad, want_grad, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(leaf.data, x)
+
+    def test_leaf_logits_are_copied(self):
+        x = np.array([[1.0, 2.0, 3.0], [0.5, 0.5, -1.0]])
+        with use_dtype(np.float64):
+            leaf = Tensor(x, requires_grad=True)
+            cross_entropy(leaf, [2, 0]).backward()
+        np.testing.assert_array_equal(leaf.data, x)
+        np.testing.assert_allclose(leaf.grad, reference_cross_entropy(x, np.array([2, 0]))[1],
+                                   rtol=0, atol=1e-10)
+
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(3)
+        targets = rng.integers(0, 6, size=5)
+        with use_dtype(np.float64):
+            x = Tensor(rng.standard_normal((5, 4)))
+            w = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+            report = finite_diff_check(lambda: cross_entropy(x @ w, targets), {"w": w},
+                                       eps=1e-5, n_samples=8)
+        assert report["w"] < 1e-3
+
+    @pytest.mark.parametrize("targets", [[0], [0, 1, 2]])
+    def test_misaligned_targets_rejected(self, targets):
+        with pytest.raises(ValueError, match="misaligned"):
+            cross_entropy(Tensor(np.zeros((2, 3))), targets)
+
+
 def _random_composite(rng):
     """A small graph exercising every primitive the model uses."""
     params = {
@@ -138,6 +193,7 @@ def _random_composite(rng):
         "e": Tensor(rng.standard_normal((5, 4)), requires_grad=True),
     }
     idx = rng.integers(0, 5, size=6)
+    targets = rng.integers(0, 3, size=6)
 
     def forward():
         x = params["e"][idx]
@@ -145,7 +201,8 @@ def _random_composite(rng):
         h = concat([h[:3], h[3:]], axis=0)
         a = (h @ h.transpose()).softmax(axis=1)
         out = ((a @ h) @ params["u"] + params["b"]).gelu()
-        return (out * out).sum() + out.log_softmax(axis=1).sum() * 0.1
+        # cross_entropy overwrites its input's data, and out also feeds out * out.
+        return (out * out).sum() + cross_entropy(out + params["b"], targets) * 0.1
 
     return forward, params
 

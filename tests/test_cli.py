@@ -312,6 +312,18 @@ class TestPipeline:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "out.b" in err[0]
 
+    def test_diverged_training_is_one_error_line(self, workspace, capsys):
+        # Adam moves every weight by about lr, so the first step diverges.
+        ws, log = workspace
+        args = SMALL + ["--set", "lr=1e30", "--set", f"data={log}"]
+        assert main(["prepare-data"] + args) == 0
+        capsys.readouterr()
+        assert main(["train"] + args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: training diverged at epoch 0, batch 1: ")
+        assert re.search(r"'(emb|fusion|enc0|out)\.[a-z_0-9.]+'$", err[0])
+        assert not (ws / "checkpoint.bin").exists()
+
     def test_unreadable_data_is_one_error_line(self, workspace, capsys):
         ws, log = workspace
         assert main(["prepare-data", "--set", f"data={log.parent}"]) == 1

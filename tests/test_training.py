@@ -1,15 +1,19 @@
+import ctypes
 import math
+import platform
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from twinrec.autodiff import BLOCK, Arena, use_dtype
+from twinrec.autodiff import BLOCK, Arena, use_dtype, zero_grads
 from twinrec.data import (UserSequence, build_context_vocab, eval_input,
                           generate_training_samples)
 from twinrec.model import ModelConfig, SequentialRecommender
 from twinrec.training import (BETA1, BETA2, EPS, Adam, TrainConfig, evaluate,
-                              export_attention, rank_of, ranking_metrics, train)
+                              export_attention, keep_heap, rank_of, ranking_metrics, train)
 
 
 def reference_adam(theta, grads, lr=0.1, b1=0.9, b2=0.999, eps=1e-8):
@@ -293,6 +297,103 @@ class TestTrain:
         scores = [row[2] for row in result.history]
         improving = sum(score > max(scores[:k], default=-1.0) for k, score in enumerate(scores))
         assert len(calls) == improving >= 1
+
+
+def random_batch(rng, cfg, size, length):
+    return [(rng.integers(0, cfg.vocab_size, length), rng.integers(0, cfg.n_contexts, length),
+             int(rng.integers(0, cfg.vocab_size))) for _ in range(size)]
+
+
+class TestStep:
+    """What one training step allocates, faults and reports."""
+
+    def test_loss_and_backward_peak_below_half_of_the_output_layer(self):
+        # Large-catalog sizes. Building out.w's (D, |V|) gradient as a fresh
+        # array, or a zeroed copy of a table per row gather, peaks at 43.6 MB.
+        cfg = ModelConfig(vocab_size=100_000, n_contexts=500, dim=64, kernel_size=5,
+                          n_heads=2, max_len=20)
+        model = SequentialRecommender(cfg, seed=0)
+        Adam(model.params, TrainConfig(epochs=1))  # makes the gradient arena
+        batch = random_batch(np.random.default_rng(0), cfg, 8, 20)
+        model.training_loss(batch, 1e-5).backward()  # first-call set-up happens once
+        zero_grads(model.params)
+        tracemalloc.start()
+        try:
+            model.training_loss(batch, 1e-5).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < model.params["out.w"].data.nbytes / 2
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                        reason="the heap policy is glibc's mallopt")
+    def test_steady_steps_fault_no_pages(self):
+        # Baseline sizes. With glibc's default thresholds each step returns
+        # its graph's freed memory to the kernel and faults it back: thousands
+        # of minor faults a step.
+        import resource  # Unix only
+        keep_heap()
+        cfg = ModelConfig(vocab_size=5000, n_contexts=1500, dim=64, kernel_size=5, n_heads=2,
+                          max_len=50)
+        model = SequentialRecommender(cfg, seed=0)
+        optim = Adam(model.params, TrainConfig(epochs=1))
+        rng = np.random.default_rng(1)
+        batches = [random_batch(rng, cfg, 32, 50) for _ in range(8)]
+        faults = []
+        for batch in batches:
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+            zero_grads(model.params)
+            model.training_loss(batch, 1e-5).backward()
+            optim.step()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        assert faults[-1] - faults[3] < 100
+
+    @pytest.mark.parametrize("library", ["unloadable", "without_mallopt"])
+    def test_train_runs_without_mallopt(self, monkeypatch, library):
+        calls = []
+
+        def fake_cdll(name):
+            calls.append(name)
+            if library == "unloadable":
+                raise OSError("no C library")
+            return object()
+        monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+        model, samples, _, _ = tiny_setup(seed=2)
+        result = train(model, samples, TrainConfig(batch_size=16, epochs=1))
+        assert len(calls) == 1 and math.isfinite(result.history[0][1])
+
+    @pytest.mark.parametrize("name,value,site", [
+        ("out.w", np.inf, "parameter 'out.w' holds a non-finite value"),
+        ("emb.table1", np.nan, "parameter 'emb.table1' holds a non-finite value"),
+        ("enc0.ffn.w2", 1e30, "every parameter is finite; the largest absolute value, 1e+30, "
+                              "is in 'enc0.ffn.w2'"),
+    ])
+    def test_divergence_names_the_parameter(self, name, value, site):
+        model, samples, _, _ = tiny_setup(seed=3)
+        model.params[name].data.flat[5] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError) as err:
+                train(model, samples, TrainConfig(batch_size=16, epochs=1))
+        message = str(err.value)
+        assert message.startswith("training diverged at epoch 0, batch 0: loss ")
+        assert message.endswith(site)
+
+    def test_divergence_after_some_steps_names_epoch_and_batch(self, monkeypatch):
+        model, samples, _, _ = tiny_setup(seed=3)
+        steps = []
+        step = Adam.step
+
+        def step_then_break(self):
+            step(self)
+            steps.append(1)
+            if len(steps) == 6:  # after epoch 1's batch 1, with 4 batches an epoch
+                model.params["fusion.w_mix"].data[0, 0] = -np.inf
+        monkeypatch.setattr(Adam, "step", step_then_break)
+        assert math.ceil(len(samples) / 16) == 4
+        with pytest.raises(RuntimeError, match=r"^training diverged at epoch 1, batch 2: .*"
+                                               r"'fusion.w_mix' holds a non-finite value$"):
+            train(model, samples, TrainConfig(batch_size=16, epochs=3))
 
 
 class TestEvaluate:
