@@ -18,11 +18,13 @@ its gradient in a buffer that lives across steps: ``zero_grads`` sets
 the same buffer (a weight's product with ``out=``, a gather's scatter into
 the zeroed buffer) and adds later ones in place. A caller that keeps a
 gradient past the next backward copies it. An ``Arena`` holds leaves as
-views of one flat array.
+views of one flat array. ``keep_heap`` sets the process's heap policy, so
+arrays freed and made again at every step or request keep their pages.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from contextlib import contextmanager
 
@@ -382,6 +384,31 @@ class Arena(dict):
             for p, part in zip(self.values(), np.split(self._grad, self._cuts)):
                 p._grad_buf = part.reshape(p.shape)
         return self._grad
+
+
+def keep_heap():
+    """Keep freed memory in this process's heap for its lifetime, through glibc's ``mallopt``.
+
+    A training step frees its graph (hundreds of KB to a few MB of arrays) and the next step
+    allocates the same sizes again; a served request frees its forward's temporaries (0.5-1 MB
+    of 100-200 KB arrays at T=200) and the next request allocates them again. With glibc's
+    default dynamic thresholds the heap returns the freed pages to the kernel and the next step
+    or request faults them back in: thousands of faults a training step, hundreds a request.
+    ``train`` and ``SequentialRecommender.load`` call this, so a process that trains or serves
+    keeps the policy from then on. Both thresholds are set: fixing only the trim threshold also
+    freezes the mmap threshold where it is (128 KiB at the start), so every larger array is
+    mapped and unmapped each time.
+    Without glibc's ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except OSError:
+        return
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks below 32 MiB come from the heap
+    mallopt(-1, 1 << 30)   # M_TRIM_THRESHOLD: the heap keeps up to 1 GiB of freed memory
 
 
 def zero_grads(params):

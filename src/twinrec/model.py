@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff
 from .atomic import atomic_write
-from .autodiff import BLOCK, Arena, Tensor
+from .autodiff import BLOCK, Arena, Tensor, keep_heap
 from . import embedding as emb
 from .encoder import twin_forward
 from .embedding import EmbeddingParams, PAD_ITEM, UNK_CONTEXT
@@ -34,10 +34,7 @@ VARIANTS = ("full", "full_emb", "wo_dynamic", "plain_attn")
 CHECKPOINT_MAGIC = "TWINREC-CKPT-1"
 # Values per rng.uniform call when a parameter is initialised (4 MB of
 # float64): a larger tensor is drawn block by block into its slice of the
-# arena, so no float64 copy of it is built, and a smaller one is drawn
-# whole. Smaller blocks left glibc's dynamic trim threshold low in a process
-# that only loads a model, and serving then re-faulted heap pages on every
-# request.
+# arena, so no float64 copy of it is built, and a smaller one is drawn whole.
 INIT_BLOCK = 1 << 19
 
 
@@ -117,11 +114,9 @@ class SequentialRecommender:
     """Trainable next-item model; its parameters are the views of one ``Arena``."""
 
     def __init__(self, config, seed=0):
-        self.config = config
-        self.seed = seed
-        self.params = p = Arena({name: shape for name, (_, shape) in config.layout().items()})
+        self._assemble(config, seed)
         bound = 1.0 / math.sqrt(config.dim)
-        for name, t in p.items():
+        for name, t in self.params.items():
             if t.data.ndim == 1:
                 continue  # biases start at zero
             # Each tensor draws from its own name-keyed stream so variants
@@ -133,6 +128,11 @@ class SequentialRecommender:
                 block = flat[lo:lo + INIT_BLOCK]
                 block[...] = rng.uniform(-bound, bound, size=block.size)
 
+    def _assemble(self, config, seed):
+        """Make the parameter arena, all zero, and the layers' views of it; draw nothing."""
+        self.config = config
+        self.seed = seed
+        self.params = p = Arena({name: shape for name, (_, shape) in config.layout().items()})
         tables = [p[f"emb.table{n}"] for n in range(len(config.table_sizes()))]
         self.embedding = EmbeddingParams(tables, p["emb.context"], p.get("fusion.w_att"),
                                          p["fusion.w_mix"], p["fusion.b_mix"])
@@ -183,13 +183,24 @@ class SequentialRecommender:
             return self.forward(items, ctx_indices)["logits"].softmax(axis=-1)
 
     def predict_topk(self, items, ctx_indices, k):
-        """Top-k item indices by score, ties broken by ascending index."""
+        """Top-k item indices by score, ties broken by ascending index, NaN scores last.
+
+        The first k of a stable sort of all the scores, found without one: a partial selection
+        (``np.partition``) finds the k-th score, and only the scores above it and the lowest
+        indices among those equal to it are sorted."""
         v = self.config.vocab_size
         if not 1 <= k <= v:
             raise ValueError(f"k={k} outside 1..{v}")
-        scores = self.forward_scores(items, ctx_indices).data[0]
-        order = np.lexsort((np.arange(v), -scores))
-        return order[:k].tolist()
+        keys = -self.forward_scores(items, ctx_indices).data[0]
+        kth = np.partition(keys, k - 1)[k - 1]
+        if np.isnan(kth):  # fewer than k scores are numbers: all of them, then the first NaNs
+            tied = np.isnan(keys)
+            above = ~tied
+        else:
+            above, tied = keys < kth, keys == kth
+        top = np.flatnonzero(above)
+        top = np.concatenate((top, np.flatnonzero(tied)[:k - top.size]))
+        return top[np.lexsort((top, keys[top]))].tolist()
 
     # -- loss -----------------------------------------------------------
 
@@ -237,7 +248,10 @@ class SequentialRecommender:
     @classmethod
     def load(cls, path):
         """Check the manifest and payload length against the header config's layout before building
-        the model, then read the payload into its arena. ``vocab_digest`` is ``save``'s, or None."""
+        the model, then read the payload into its arena, which starts zeroed: nothing is drawn.
+        ``vocab_digest`` is ``save``'s, or None. Sets the process's heap policy (``keep_heap``)
+        first, so that serving keeps its per-request temporaries' heap pages."""
+        keep_heap()
         with open(path, "rb") as f:
             try:
                 header = json.loads(f.readline())
@@ -249,10 +263,14 @@ class SequentialRecommender:
             try:
                 config = ModelConfig(**header["config"])
                 seed, entries = header["seed"], list(header["tensors"])
+                if type(seed) is not int or seed < 0:
+                    raise ValueError(f"seed {seed!r} is not a non-negative integer")
                 first = entries[0] if entries and isinstance(entries[0], dict) else {}
                 dtype = np.dtype(np.float64 if first.get("dtype") == "float64" else np.float32)
                 want, size = checkpoint_manifest(config, dtype)
-                model = cls(config, seed=seed) if entries == want and payload == size else None
+                if entries == want and payload == size:  # else the checks below say why not
+                    model = cls.__new__(cls)
+                    model._assemble(config, seed)
             except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}: malformed header ({type(e).__name__}: {e}); "
                                  f"run train again") from None

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import data as datamod
-from .autodiff import BLOCK, NumericDomainError, no_grad, zero_grads
+from .autodiff import BLOCK, NumericDomainError, keep_heap, no_grad, zero_grads
 
 
 # Adam's moment decay rates and denominator offset.
@@ -160,28 +159,6 @@ class TrainResult:
     history: list          # rows of (epoch, loss, val_ndcg10, seconds)
     best_epoch: int
     best_val_ndcg10: float
-
-
-def keep_heap():
-    """Keep freed memory in this process's heap for its lifetime, through glibc's ``mallopt``.
-
-    Each training step frees its graph (hundreds of KB to a few MB of arrays) and the next step
-    allocates the same sizes again. With glibc's default dynamic thresholds the heap returns
-    the freed pages to the kernel and the next step faults them back in, thousands of faults a
-    step. Both thresholds are set: fixing only the trim threshold also freezes the mmap
-    threshold where it is (128 KiB at the start), so every larger array is mapped and unmapped
-    each step.
-    Without glibc's ``mallopt`` this does nothing.
-    """
-    try:
-        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    except OSError:
-        return
-    if mallopt is None:
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks below 32 MiB come from the heap
-    mallopt(-1, 1 << 30)   # M_TRIM_THRESHOLD: the heap keeps up to 1 GiB of freed memory
 
 
 def _divergence_site(params):

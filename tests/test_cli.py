@@ -249,13 +249,14 @@ class TestPipeline:
 
     @pytest.mark.parametrize("edit", [
         lambda h: h.pop("seed"),
+        lambda h: h.update(seed="abc"),
         lambda h: h.pop("tensors"),
         lambda h: h["tensors"][0].pop("shape"),
         lambda h: h["config"].update(colour="blue"),
         lambda h: h["config"].update(dim="8"),
         lambda h: h["tensors"][0].update(dtype="<i9"),
         lambda h: h["tensors"][0].update(dtype="<i4"),
-    ], ids=["no_seed", "no_tensors", "entry_without_shape", "extra_config_field",
+    ], ids=["no_seed", "mistyped_seed", "no_tensors", "entry_without_shape", "extra_config_field",
             "mistyped_config_field", "dtype_i9", "dtype_i4"])
     def test_malformed_checkpoint_header_is_one_error_line(self, workspace, capsys, edit):
         ws, log = workspace

@@ -2,6 +2,10 @@ import gc
 import hashlib
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import zlib
 from dataclasses import asdict
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twinrec import model as model_module
 from twinrec.autodiff import Arena, Tensor, finite_diff_check, use_dtype, zero_grads
 from twinrec.model import (CHECKPOINT_MAGIC, VARIANTS, ModelConfig, SequentialRecommender,
                            build_variant, checkpoint_manifest, l2_penalty)
@@ -282,6 +287,62 @@ class TestTopK:
         with pytest.raises(ValueError):
             model.predict_topk([1], [0], 13)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dtype=st.sampled_from([np.float32, np.float64]),
+           k=st.one_of(st.just(1), st.integers(2, 999), st.just(1000)), nan=st.booleans())
+    @example(seed=0, dtype=np.float32, k=1000, nan=True)
+    def test_partial_selection_matches_full_sort(self, seed, dtype, k, nan):
+        # A zero column of out.w scores its bias exactly, so most items tie at
+        # one of four bias levels, across the k-th score; a -1e4 bias gives
+        # probability 0, and one NaN bias makes every score NaN.
+        v = 1000
+        rng = np.random.default_rng(seed)
+        with use_dtype(dtype):
+            model = SequentialRecommender(tiny_config(vocab_size=v), seed=13)
+            model.params["out.w"].data[:, rng.random(v) < 0.9] = 0.0
+            bias = model.params["out.b"].data
+            bias[:] = rng.choice([0.0, 0.5, 1.0, -1e4], v)
+            if nan:
+                bias[rng.integers(v)] = np.nan
+            items, ctxs = random_sequence(rng, model.config)
+            scores = model.forward_scores(items, ctxs).data[0]
+            top = model.predict_topk(items, ctxs, k)
+        assert scores.dtype == dtype and np.isnan(scores).all() == nan
+        assert top == np.lexsort((np.arange(v), -scores))[:k].tolist()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                        reason="the heap policy is glibc's mallopt")
+    def test_fresh_serving_process_faults_no_pages_per_request(self, tmp_path):
+        # Long-history sizes. With glibc's default thresholds each request
+        # returns its forward's freed temporaries to the kernel and faults
+        # them back: about 240 minor faults a request.
+        cfg = ModelConfig(vocab_size=2000, n_contexts=200, dim=64, kernel_size=5, n_heads=2,
+                          max_len=200)
+        path = tmp_path / "ckpt.bin"
+        SequentialRecommender(cfg, seed=26).save(path)
+        script = (
+            "import resource, sys\n"
+            "import numpy as np\n"
+            "from twinrec.model import SequentialRecommender\n"
+            "model = SequentialRecommender.load(sys.argv[1])\n"
+            "rng = np.random.default_rng(0)\n"
+            "cfg = model.config\n"
+            "windows = [(rng.integers(0, cfg.vocab_size, t), rng.integers(0, cfg.n_contexts, t))\n"
+            "           for t in rng.integers(100, 201, 220)]\n"
+            "for items, ctxs in windows[:20]:\n"
+            "    model.predict_topk(items, ctxs, 10)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for items, ctxs in windows[20:]:\n"
+            "    model.predict_topk(items, ctxs, 10)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        src = os.path.dirname(os.path.dirname(model_module.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert int(proc.stdout) < 5 * 200
+
 
 class TestVariants:
     def test_wo_dynamic_plain_sum(self):
@@ -552,6 +613,18 @@ class TestCheckpoint:
             want = rng.uniform(-1 / math.sqrt(64), 1 / math.sqrt(64), size=p.shape).astype(dtype)
             assert p.dtype == dtype and p.tobytes() == want.tobytes()
         assert not model.params["out.b"].data.any()
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        model = SequentialRecommender(tiny_config(), seed=25)
+        path = tmp_path / "ckpt.bin"
+        model.save(path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load drew random values")
+        monkeypatch.setattr(model_module.np.random, "default_rng", no_draws)
+        loaded = SequentialRecommender.load(path)
+        assert loaded.seed == 25
+        assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
 
     def test_load_snapshot_writes_into_the_existing_arrays(self):
         model = SequentialRecommender(tiny_config(), seed=20)

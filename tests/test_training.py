@@ -8,12 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
-from twinrec.autodiff import BLOCK, Arena, use_dtype, zero_grads
+from twinrec.autodiff import BLOCK, Arena, keep_heap, use_dtype, zero_grads
 from twinrec.data import (UserSequence, build_context_vocab, eval_input,
                           generate_training_samples)
-from twinrec.model import ModelConfig, SequentialRecommender
+from twinrec.model import VARIANTS, ModelConfig, SequentialRecommender
 from twinrec.training import (BETA1, BETA2, EPS, Adam, TrainConfig, evaluate,
-                              export_attention, keep_heap, rank_of, ranking_metrics, train)
+                              export_attention, rank_of, ranking_metrics, train)
 
 
 def reference_adam(theta, grads, lr=0.1, b1=0.9, b2=0.999, eps=1e-8):
@@ -418,6 +418,29 @@ class TestEvaluate:
         targets = [eval_input(s, ctx_vocab, model.config.max_len, "test")[2] for s in seqs]
         assert report.ranks == [t + 1 for t in targets]
         assert report.hr[1] == np.mean([t == 0 for t in targets]) < 1.0
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_ranks_are_positions_in_each_users_own_scores(self, variant):
+        # The benchmark checks each rank against a stable numpy sort of that
+        # user's single-request forward_scores. Columns of out.w a few ulps
+        # apart give logits of order 10 that are a few ulps apart, so scoring
+        # these users in right-padded batches instead moves some of their ranks.
+        rng = np.random.default_rng(5)
+        seqs = []
+        for u in range(16):
+            items = rng.integers(0, 20, int(rng.integers(4, 12)))
+            seqs.append(UserSequence(f"u{u}", items, 1 + items % 3, items % 24))
+        ctx_vocab = build_context_vocab(seqs)
+        cfg = ModelConfig(vocab_size=20, n_contexts=ctx_vocab.size, dim=64, kernel_size=3,
+                          n_heads=1, max_len=10, variant=variant)
+        model = SequentialRecommender(cfg, seed=4)
+        w = model.params["out.w"].data
+        w[:] = 100 * w[:, :1] * (1 + 1e-7 * rng.standard_normal(w.shape))
+        report = evaluate(model, seqs, ctx_vocab, "test")
+        for seq, rank in zip(seqs, report.ranks):
+            items, ctxs, target = eval_input(seq, ctx_vocab, cfg.max_len, "test")
+            order = np.argsort(-model.forward_scores(items, ctxs).data[0], kind="stable")
+            assert rank == int(np.flatnonzero(order == target)[0]) + 1
 
 
 class TestExportAttention:
