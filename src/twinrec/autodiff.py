@@ -7,19 +7,19 @@ forward passes in ``use_dtype(np.float64)`` when checking gradients.
 
 Only the operations the model actually needs are implemented: elementwise
 arithmetic with numpy-style broadcasting, matmul and transpose over the last
-two axes (leading batch axes broadcast), concat, numpy indexing (a row
-gather's backward is one scatter-add), masked softmax, SiLU, GeLU, sum,
-reshape and a fused mean cross-entropy. Inside ``no_grad()`` nothing is
-recorded.
+two axes (leading batch axes broadcast), concat, numpy indexing (the
+backward is one scatter-add), softmax, SiLU, GeLU, sum, reshape, a fused
+mean cross-entropy and an arena's L2 value. Inside ``no_grad()`` nothing is
+recorded. Ops check no values: ``train`` and ``load`` catch non-finite ones.
 
-A leaf tensor (``requires_grad`` with no parents, i.e. a parameter) keeps
-its gradient in a buffer that lives across steps: ``zero_grads`` sets
-``grad`` to None, and the next backward writes its first contribution into
-the same buffer (a weight's product with ``out=``, a gather's scatter into
-the zeroed buffer) and adds later ones in place. A caller that keeps a
-gradient past the next backward copies it. An ``Arena`` holds leaves as
-views of one flat array. ``keep_heap`` sets the process's heap policy, so
-arrays freed and made again at every step or request keep their pages.
+An ``Arena`` holds leaves (parameters) as views of one flat array; once its
+``grad_flat()`` exists, a leaf's gradient lives in its slice of that array:
+``zero_grads`` sets ``grad`` to None, the next backward writes the first
+contribution into the slice (a product with ``out=``, a scatter into the
+zeroed slice) and adds later ones in place. A caller that keeps a gradient
+past the next backward copies it. Only this module touches the slices.
+``keep_heap`` sets the process's heap policy, so arrays freed and made again
+at every step or request keep their pages.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ _GRAD_ENABLED = True
 # Elements per block for passes that stream over a whole arena (Adam, the
 # L2 value): a few float32 blocks fit in a core's L2 cache.
 BLOCK = 1 << 15
-
-
-class NumericDomainError(ValueError):
-    """Raised when an operation receives non-finite input."""
 
 
 @contextmanager
@@ -102,22 +98,19 @@ class Tensor:
         return out
 
     def _first_grad_buffer(self):
-        """The buffer a leaf's first gradient of a step goes into, now its ``grad``, for the caller
-        to fill; None when this is not a leaf or already has its gradient for the step."""
-        if self.grad is not None or self._parents:
+        """The arena slice a leaf's first gradient of a step goes into, now its ``grad``, for the
+        caller to fill; None when this has no slice or already has its gradient for the step."""
+        if self.grad is not None or self._grad_buf is None:
             return None
-        buf = self._grad_buf
-        if buf is None or buf.shape != self.data.shape or buf.dtype != self.data.dtype:
-            buf = self._grad_buf = np.empty(self.data.shape, self.data.dtype)
-        self.grad = buf
-        return buf
+        self.grad = self._grad_buf
+        return self.grad
 
     def _accum(self, g):
         # ``g`` may be another node's gradient or a read-only broadcast view,
-        # so it is never updated in place. A leaf copies the first ``g`` of a
-        # step into the buffer it keeps across steps and adds later ones in
-        # place, so a (D, |V|) gradient is not allocated and page-faulted in
-        # every step; any other node keeps its first ``g`` as is.
+        # so it is never updated in place. A leaf with an arena slice copies
+        # the first ``g`` of a step into it and adds later ones in place, so a
+        # (D, |V|) gradient is not allocated and page-faulted in every step;
+        # any other tensor keeps its first ``g`` as is.
         g = np.asarray(g, dtype=self.data.dtype)
         buf = self._first_grad_buffer()
         if buf is not None:
@@ -243,20 +236,15 @@ class Tensor:
         """Numpy indexing; the backward scatter-adds, so repeated rows accumulate."""
         out = Tensor._result(self.data[key], (self,))
         if out.requires_grad:
-            basic = _is_basic(key)
-
             def bw(g):
-                # A leaf's first gradient is scattered into its own zeroed buffer.
+                # A leaf's first gradient is scattered into its own zeroed arena slice.
                 buf = self._first_grad_buffer()
                 first = buf is not None
                 if first:
                     buf.fill(0)
                 else:
                     buf = np.zeros_like(self.data)
-                if basic:  # a view selects each element at most once
-                    buf[key] += g
-                else:
-                    np.add.at(buf, key, g)
+                np.add.at(buf, key, g)
                 if not first:
                     self._accum(buf)
             out._backward = bw
@@ -265,8 +253,6 @@ class Tensor:
     # -- nonlinearities -------------------------------------------------
 
     def silu(self):
-        if not np.isfinite(self.data).all():
-            raise NumericDomainError("silu: non-finite input")
         sig = 1.0 / (1.0 + np.exp(-self.data))
         out = Tensor._result(self.data * sig, (self,))
         if out.requires_grad:
@@ -275,8 +261,6 @@ class Tensor:
 
     def gelu(self):
         """x * Phi(x) with the exact erf formulation."""
-        if not np.isfinite(self.data).all():
-            raise NumericDomainError("gelu: non-finite input")
         x = self.data
         # Python-float constants: a numpy float64 scalar would promote
         # float32 storage to float64.
@@ -287,14 +271,9 @@ class Tensor:
                 g * (cdf + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)))
         return out
 
-    def softmax(self, axis=-1, mask=None):
-        """Numerically stabilised softmax; ``mask`` keeps True entries."""
+    def softmax(self, axis=-1):
+        """Numerically stabilised softmax."""
         logits = self.data
-        if mask is not None:
-            m = np.broadcast_to(np.asarray(mask, dtype=bool), logits.shape)
-            if not m.any(axis=axis).all():
-                raise ValueError("softmax: all entries masked along an axis slice")
-            logits = np.where(m, logits, -np.inf)
         shifted = logits - logits.max(axis=axis, keepdims=True)
         e = np.exp(shifted)
         y = e / e.sum(axis=axis, keepdims=True)
@@ -305,13 +284,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def _is_basic(key):
-    """True for a key of slices, ints, Ellipsis and None: numpy's basic indexing."""
-    parts = key if isinstance(key, tuple) else (key,)
-    return all(k is None or k is Ellipsis or isinstance(k, (slice, int, np.integer))
-               for k in parts)
 
 
 def as_tensor(x):
@@ -368,7 +340,7 @@ class Arena(dict):
     """Named leaf tensors, zero at first, each a view of one flat array ``flat`` in ``shapes``' order.
 
     ``grad_flat()`` makes, once, a gradient array of the same layout; its slices are the leaves'
-    gradient buffers."""
+    gradient buffers from then on."""
 
     def __init__(self, shapes):
         super().__init__()
@@ -379,11 +351,59 @@ class Arena(dict):
             self[name] = Tensor(part.reshape(shape), requires_grad=True)
 
     def grad_flat(self):
+        """The gradient arena; a gradient held outside its slice is copied in first."""
         if self._grad is None:
             self._grad = np.zeros_like(self.flat)
             for p, part in zip(self.values(), np.split(self._grad, self._cuts)):
                 p._grad_buf = part.reshape(p.shape)
+        for p in self.values():
+            if p.grad is not None and p.grad is not p._grad_buf:
+                np.copyto(p._grad_buf, p.grad)
         return self._grad
+
+    def first_nonfinite(self):
+        """The name of the first leaf, in layout order, holding a non-finite value, or None;
+        checked BLOCK elements at a time, so no arena-sized temporary is made."""
+        for lo in range(0, self.flat.size, BLOCK):
+            finite = np.isfinite(self.flat[lo:lo + BLOCK])
+            if not finite.all():
+                return list(self)[np.searchsorted(self._cuts, lo + np.argmin(finite), "right")]
+        return None
+
+
+def l2_penalty(params):
+    """Sum of squared values over the ``Arena`` ``params``, as one graph node; summed in float64
+    over dot products of BLOCK-sized slices of the arena, so no squared copy is built.
+
+    The backward adds ``2 g p`` to each gradient: into a leaf's arena slice when it is the first
+    contribution, else BLOCK by BLOCK through one scratch array, with the operations of
+    ``grad += 2.0 * g * p``, so the gradients are the same to the bit."""
+    flat, tensors = params.flat, tuple(params.values())
+    total = 0.0
+    for lo in range(0, flat.size, BLOCK):
+        total += float(np.vdot(flat[lo:lo + BLOCK], flat[lo:lo + BLOCK]))
+    out = Tensor._result(np.asarray(total, dtype=flat.dtype), tensors)
+    if out.requires_grad:
+        def bw(g):
+            c = 2.0 * g
+            scratch = np.empty(min(flat.size, BLOCK), flat.dtype)
+            for p in tensors:
+                if not p.requires_grad:
+                    continue
+                buf = p._first_grad_buffer()
+                if buf is not None:
+                    np.multiply(c, p.data, out=buf)
+                elif p.grad is None or p.grad is not p._grad_buf:  # not in its arena slice
+                    p._accum(c * p.data)
+                else:
+                    x, acc = p.data.reshape(-1), p.grad.reshape(-1)
+                    for lo in range(0, x.size, BLOCK):
+                        xs, gs = x[lo:lo + BLOCK], acc[lo:lo + BLOCK]
+                        s = scratch[:xs.size]
+                        np.multiply(c, xs, out=s)
+                        np.add(gs, s, out=gs)
+        out._backward = bw
+    return out
 
 
 def keep_heap():

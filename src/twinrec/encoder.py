@@ -53,7 +53,8 @@ def attn_branch(h, positions, head, n_heads, valid_mask=None):
 
     No causal mask: the encoder is bidirectional and leakage is prevented
     by how training samples are constructed. Padded positions, when given
-    via ``valid_mask``, are excluded as attention targets.
+    via ``valid_mask``, are excluded as attention targets by a constant
+    bias of -inf on their logits (0 elsewhere); every row needs a valid key.
 
     ``head`` is the ``(w_q, w_k, w_v)`` triple and ``positions`` the (T_max, D)
     position table. Works on (..., T, D); ``valid_mask`` has shape (..., T).
@@ -67,8 +68,12 @@ def attn_branch(h, positions, head, n_heads, valid_mask=None):
     q, k, v = (ht @ w.transpose() for w in head)
     scale = 1.0 / math.sqrt(d / n_heads)
     logits = (q @ k.transpose()) * scale
-    mask = None if valid_mask is None else np.asarray(valid_mask, dtype=bool)[..., None, :]
-    weights = logits.softmax(axis=-1, mask=mask)
+    if valid_mask is not None:
+        valid = np.asarray(valid_mask, dtype=bool)
+        if not valid.any(axis=-1).all():
+            raise ValueError("attention: a row has no valid key")
+        logits = logits + np.where(valid, 0.0, -np.inf)[..., None, :]
+    weights = logits.softmax(axis=-1)
     return weights @ v, weights
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff
 from .atomic import atomic_write
-from .autodiff import BLOCK, Arena, Tensor, keep_heap
+from .autodiff import Arena, Tensor, keep_heap, l2_penalty
 from . import embedding as emb
 from .encoder import twin_forward
 from .embedding import EmbeddingParams, PAD_ITEM, UNK_CONTEXT
@@ -249,8 +249,9 @@ class SequentialRecommender:
     def load(cls, path):
         """Check the manifest and payload length against the header config's layout before building
         the model, then read the payload into its arena, which starts zeroed: nothing is drawn.
-        ``vocab_digest`` is ``save``'s, or None. Sets the process's heap policy (``keep_heap``)
-        first, so that serving keeps its per-request temporaries' heap pages."""
+        A payload holding a non-finite value is rejected, naming the first such tensor in layout
+        order. ``vocab_digest`` is ``save``'s, or None. Sets the process's heap policy
+        (``keep_heap``) first, so that serving keeps its per-request temporaries' heap pages."""
         keep_heap()
         with open(path, "rb") as f:
             try:
@@ -268,9 +269,6 @@ class SequentialRecommender:
                 first = entries[0] if entries and isinstance(entries[0], dict) else {}
                 dtype = np.dtype(np.float64 if first.get("dtype") == "float64" else np.float32)
                 want, size = checkpoint_manifest(config, dtype)
-                if entries == want and payload == size:  # else the checks below say why not
-                    model = cls.__new__(cls)
-                    model._assemble(config, seed)
             except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}: malformed header ({type(e).__name__}: {e}); "
                                  f"run train again") from None
@@ -281,11 +279,16 @@ class SequentialRecommender:
             if payload != size:
                 raise ValueError(f"{path}: the payload holds {payload} bytes, but the manifest's "
                                  f"last tensor, {want[-1]['name']!r}, ends at byte {size}")
+            model = cls.__new__(cls)
+            model._assemble(config, seed)
             model.vocab_digest = header.get("vocab_digest")
             if dtype == model.params.flat.dtype:
                 f.readinto(model.params.flat)
             else:
                 model.params.flat[...] = np.frombuffer(f.read(), dtype)
+        bad = model.params.first_nonfinite()
+        if bad is not None:
+            raise ValueError(f"{path}: tensor {bad!r} holds a non-finite value; run train again")
         return model
 
     def state_snapshot(self):
@@ -293,41 +296,6 @@ class SequentialRecommender:
 
     def load_snapshot(self, snapshot):
         np.copyto(self.params.flat, snapshot)
-
-
-def l2_penalty(params):
-    """Sum of squared values over the ``Arena`` ``params``, as one graph node; summed in float64
-    over dot products of BLOCK-sized slices of the arena, so no squared copy is built.
-
-    The backward adds ``2 g p`` to each gradient: into a leaf's buffer when it is the first
-    contribution, else BLOCK by BLOCK through one scratch array, with the operations of
-    ``grad += 2.0 * g * p``, so the gradients are the same to the bit."""
-    flat, tensors = params.flat, tuple(params.values())
-    total = 0.0
-    for lo in range(0, flat.size, BLOCK):
-        total += float(np.vdot(flat[lo:lo + BLOCK], flat[lo:lo + BLOCK]))
-    out = Tensor._result(np.asarray(total, dtype=flat.dtype), tensors)
-    if out.requires_grad:
-        def bw(g):
-            c = 2.0 * g
-            scratch = np.empty(min(flat.size, BLOCK), flat.dtype)
-            for p in tensors:
-                if not p.requires_grad:
-                    continue
-                buf = p._first_grad_buffer()
-                if buf is not None:
-                    np.multiply(c, p.data, out=buf)
-                elif p.grad is not p._grad_buf:  # a gradient the caller assigned
-                    p._accum(c * p.data)
-                else:
-                    x, acc = p.data.reshape(-1), p.grad.reshape(-1)
-                    for lo in range(0, x.size, BLOCK):
-                        xs, gs = x[lo:lo + BLOCK], acc[lo:lo + BLOCK]
-                        s = scratch[:xs.size]
-                        np.multiply(c, xs, out=s)
-                        np.add(gs, s, out=gs)
-        out._backward = bw
-    return out
 
 
 def build_variant(kind, config, seed=0):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data as datamod
-from .autodiff import BLOCK, NumericDomainError, keep_heap, no_grad, zero_grads
+from .autodiff import BLOCK, keep_heap, no_grad, zero_grads
 
 
 # Adam's moment decay rates and denominator offset.
@@ -53,7 +53,7 @@ class Adam:
         self.params = params
         self.config = config
         self.t = 0
-        self.grad = params.grad_flat()
+        params.grad_flat()  # from here on, backward passes write into the gradient arena
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
         self._scratch = np.empty((2, min(self.m.size, BLOCK)), self.m.dtype)
@@ -62,14 +62,11 @@ class Adam:
         missing = [name for name, p in self.params.items() if p.grad is None]
         if missing:
             raise RuntimeError(f"parameters without gradients: {missing}")
-        for p in self.params.values():
-            if p.grad is not p._grad_buf:  # assigned by the caller: copy it into the arena
-                np.copyto(p._grad_buf, p.grad)
         self.t += 1
         b1, b2, lr, eps = BETA1, BETA2, self.config.lr, EPS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        x, g, m, v = self.params.flat, self.grad, self.m, self.v
+        x, g, m, v = self.params.flat, self.params.grad_flat(), self.m, self.v
         a, b = self._scratch
         for lo in range(0, x.size, BLOCK):
             s = slice(lo, lo + BLOCK)
@@ -164,9 +161,9 @@ class TrainResult:
 def _divergence_site(params):
     """Name the first parameter, in ``params``' order, holding a non-finite value; when all are
     finite, the one holding the largest absolute value."""
-    for name, p in params.items():
-        if not np.isfinite(p.data).all():
-            return f"parameter {name!r} holds a non-finite value"
+    name = params.first_nonfinite()
+    if name is not None:
+        return f"parameter {name!r} holds a non-finite value"
     name, top = max(((name, float(np.abs(p.data).max())) for name, p in params.items()),
                     key=lambda item: item[1])
     return f"every parameter is finite; the largest absolute value, {top:g}, is in {name!r}"
@@ -180,7 +177,8 @@ def train(model, samples, config, val_sequences=None, ctx_vocab=None,
     given) and training stops once it has not improved for ``patience``
     epochs. A copy of the parameters is taken at each improvement and loaded
     back into the model at the end; without validation no copy is taken.
-    A loss that is not finite stops training with a ``RuntimeError`` naming the
+    A loss that is not finite, or an overflow or invalid value in the backward
+    pass or the update, stops training with a ``RuntimeError`` naming the
     epoch, the batch and the parameter where the model diverged. The process
     keeps its freed heap memory from here on (``keep_heap``).
     """
@@ -205,18 +203,21 @@ def train(model, samples, config, val_sequences=None, ctx_vocab=None,
         for lo in range(0, len(order), config.batch_size):
             batch = [samples[i] for i in order[lo:lo + config.batch_size]]
             zero_grads(model.params)
-            try:
-                # A diverged model overflows here; the loss check below reports it once.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    loss = model.training_loss(batch, config.l2)
-                value, why = loss.item(), ""
-            except NumericDomainError as e:  # a layer refused a non-finite input
-                value, why = math.nan, f" ({e})"
+            where = f"training diverged at epoch {epoch}, batch {n_batches}"
+            # A diverged model overflows here; the loss check below reports it once.
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = model.training_loss(batch, config.l2)
+            value = loss.item()
             if not math.isfinite(value):
-                raise RuntimeError(f"training diverged at epoch {epoch}, batch {n_batches}: "
-                                   f"loss {value}{why}; {_divergence_site(model.params)}")
-            loss.backward()
-            optim.step()
+                raise RuntimeError(f"{where}: loss {value}; {_divergence_site(model.params)}")
+            try:
+                # A finite loss can still overflow a gradient or Adam's moments.
+                with np.errstate(over="raise", invalid="raise"):
+                    loss.backward()
+                    optim.step()
+            except FloatingPointError as e:
+                raise RuntimeError(f"{where}: {e} in the backward pass or the update; "
+                                   f"{_divergence_site(model.params)}") from None
             epoch_loss += value
             n_batches += 1
         epoch_loss /= n_batches

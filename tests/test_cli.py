@@ -313,6 +313,20 @@ class TestPipeline:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "out.b" in err[0]
 
+    def test_nonfinite_checkpoint_is_one_error_line(self, workspace, capsys):
+        ws, log = workspace
+        args = SMALL + ["--set", "epochs=1", "--set", f"data={log}"]
+        assert main(["prepare-data"] + args) == 0
+        assert main(["train"] + args) == 0
+        ckpt = ws / "checkpoint.bin"
+        model = SequentialRecommender.load(ckpt)
+        model.params["out.b"].data[0] = np.nan
+        model.save(ckpt, model.vocab_digest)
+        capsys.readouterr()
+        assert main(["evaluate"] + args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ckpt}: tensor 'out.b' holds a non-finite value; run train again"]
+
     def test_diverged_training_is_one_error_line(self, workspace, capsys):
         # Adam moves every weight by about lr, so the first step diverges.
         ws, log = workspace

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,41 @@ class TestAttnBranch:
                                  valid_mask=[True, True, True, False])
         np.testing.assert_array_equal(weights.data[:, 3], np.zeros(4))
         np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-6)
+
+    def test_single_valid_key_gets_weight_one(self):
+        rng = np.random.default_rng(14)
+        d = 4
+        head = self.make_head(rng, d)
+        pos = Tensor(rng.standard_normal((8, d)))
+        h = Tensor(rng.standard_normal((3, d)) * 5)
+        _, weights = attn_branch(h, pos, head, n_heads=1, valid_mask=[False, True, False])
+        np.testing.assert_array_equal(weights.data, np.tile([0.0, 1.0, 0.0], (3, 1)))
+
+    def test_all_padding_row_raises(self):
+        rng = np.random.default_rng(15)
+        d = 4
+        head = self.make_head(rng, d)
+        pos = Tensor(rng.standard_normal((8, d)))
+        h = Tensor(rng.standard_normal((2, 3, d)))
+        with pytest.raises(ValueError):
+            attn_branch(h, pos, head, n_heads=1,
+                        valid_mask=[[True, True, False], [False, False, False]])
+
+    def test_ragged_mask_matches_where_reference(self):
+        rng = np.random.default_rng(16)
+        d, t = 8, 6
+        head = self.make_head(rng, d)
+        pos = Tensor(rng.standard_normal((t, d)))
+        h = Tensor(rng.standard_normal((4, t, d)))
+        valid = np.arange(t) < np.array([6, 1, 3, 5])[:, None]
+        _, weights = attn_branch(h, pos, head, n_heads=2, valid_mask=valid)
+        # The same operations, with padded keys replaced by -inf before a plain softmax.
+        ht = h.data + pos.data[:t]
+        q, k = (ht @ w.data.T for w in head[:2])
+        logits = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(d / 2))
+        logits = np.where(valid[:, None, :], logits, logits.dtype.type(-np.inf))
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(weights.data, e / e.sum(axis=-1, keepdims=True))
 
     def test_too_long_sequence(self):
         rng = np.random.default_rng(10)

@@ -502,6 +502,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="extra"):
             SequentialRecommender.load(path)
 
+    @pytest.mark.parametrize("name,value", [("out.b", np.nan), ("emb.table0", np.nan),
+                                            ("enc0.attn0.wq", np.inf)])
+    def test_nonfinite_tensor_rejected(self, tmp_path, name, value):
+        model = SequentialRecommender(tiny_config(), seed=18)
+        model.params[name].data.flat[-1] = value
+        model.params["out.b"].data[0] = np.nan  # the last tensor: the error names the first
+        path = tmp_path / "ckpt.bin"
+        model.save(path)
+        with pytest.raises(ValueError) as err:
+            SequentialRecommender.load(path)
+        assert str(err.value) == (f"{path}: tensor {name!r} holds a non-finite value; "
+                                  f"run train again")
+
     # SHA-256 of each variant's freshly built checkpoint. It pins every
     # parameter's name, order, shape and initial value, and the file layout.
     GOLDEN = {

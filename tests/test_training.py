@@ -379,6 +379,20 @@ class TestStep:
         assert message.startswith("training diverged at epoch 0, batch 0: loss ")
         assert message.endswith(site)
 
+    def test_overflow_in_the_update_stops_training(self):
+        # The loss stays finite without L2, but Adam's (1 - beta2) * g * g overflows.
+        model, samples, _, _ = tiny_setup(seed=3)
+        model.params["enc0.ffn.w2"].data.flat[5] = 1e30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError) as err:
+                train(model, samples, TrainConfig(batch_size=16, epochs=1, l2=0))
+        message = str(err.value)
+        assert message.startswith("training diverged at epoch 0, batch 0: overflow encountered ")
+        assert message.endswith(" in the backward pass or the update; every parameter is finite; "
+                                "the largest absolute value, 1e+30, is in 'enc0.ffn.w2'")
+        assert np.isfinite(model.params.flat).all()
+
     def test_divergence_after_some_steps_names_epoch_and_batch(self, monkeypatch):
         model, samples, _, _ = tiny_setup(seed=3)
         steps = []
