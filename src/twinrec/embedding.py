@@ -20,7 +20,8 @@ from .atomic import atomic_write
 from .autodiff import Tensor, concat
 
 # Item padding sentinel lives outside the quotient-remainder range; real
-# items use 0-based global indices.
+# items use 0-based global indices. Only ``model.SequentialRecommender.forward``
+# reads it: it removes padded positions before they reach this module.
 PAD_ITEM = -1
 # Category index 0 is reserved for the padded previous-category at the
 # start of a window; real categories are 1-based.
@@ -158,7 +159,7 @@ def embed_sequence(item_indices, ctx_indices, params):
     """Compositional embeddings of items (..., T): a (..., T, D) tensor.
 
     Fusion is dynamic unless ``params.w_att`` is None, and then static.
-    Positions holding the padding sentinel yield exact zero rows.
+    Every index must be an item's: the caller removes padding first.
     Returns (H, alphas) where alphas is None for static fusion.
     """
     items = np.asarray(item_indices, dtype=np.int64)
@@ -167,13 +168,10 @@ def embed_sequence(item_indices, ctx_indices, params):
         raise ValueError(f"items {items.shape} and contexts {ctxs.shape} misaligned")
     if items.size == 0:
         raise ValueError("empty sequence")
-    valid = items != PAD_ITEM
-    safe_items = np.where(valid, items, 0)
-    bases = lookup_bases(params, safe_items)
-    ctx_emb = params.context_table[np.where(valid, ctxs, UNK_CONTEXT)]
+    bases = lookup_bases(params, items)
+    ctx_emb = params.context_table[ctxs]
     if params.w_att is None:
         fused, alphas = fuse_static(bases), None
     else:
         fused, alphas = fuse_dynamic(bases, ctx_emb, params.w_att)
-    h = contextualize(fused, ctx_emb, params.w_mix, params.b_mix)
-    return h * Tensor(valid[..., None]), alphas
+    return contextualize(fused, ctx_emb, params.w_mix, params.b_mix), alphas

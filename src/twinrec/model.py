@@ -24,10 +24,10 @@ import numpy as np
 
 from . import autodiff
 from .atomic import atomic_write
-from .autodiff import Arena, Tensor, keep_heap, l2_penalty
+from .autodiff import Arena, Tensor, concat, keep_heap, l2_penalty, use_dtype
 from . import embedding as emb
 from .encoder import twin_forward
-from .embedding import EmbeddingParams, PAD_ITEM, UNK_CONTEXT
+from .embedding import EmbeddingParams, PAD_ITEM
 
 VARIANTS = ("full", "full_emb", "wo_dynamic", "plain_attn")
 
@@ -147,12 +147,17 @@ class SequentialRecommender:
     # -- forward --------------------------------------------------------
 
     def forward(self, items, ctx_indices):
-        """Run the full pipeline for one sequence (T,) or a batch (B, T).
+        """Run the full pipeline for one sequence (T,) or a batch (B, T) right-padded with PAD_ITEM.
 
-        Returns a dict with the last-valid-position logits, (1 or B, |V|), the
-        encoder hidden states and the per-layer, per-head attention weights.
-        """
+        The only code that knows about padding: the embedding and FFNs run on the valid positions
+        packed row-major, and each encoder gathers its (…, T) grid from them and one zero row.
+        Returns a dict with the last-valid-position logits, (1 or B, |V|), the packed (N_valid, ·)
+        ``hidden`` and ``alphas`` (one row per position for an unpadded sequence) and the
+        per-layer, per-head attention weights."""
         items = np.asarray(items, dtype=np.int64)
+        ctxs = np.asarray(ctx_indices, dtype=np.int64)
+        if items.shape != ctxs.shape:
+            raise ValueError(f"items {items.shape} and contexts {ctxs.shape} misaligned")
         if items.size == 0:
             raise ValueError("empty sequence")
         t = items.shape[-1]
@@ -161,19 +166,17 @@ class SequentialRecommender:
         valid = items != PAD_ITEM
         if not valid.any(axis=-1).all():
             raise ValueError("sequence contains only padding")
-        h, alphas = emb.embed_sequence(items, ctx_indices, self.embedding)
+        # Each valid position's packed row; a padded one's -1 reads the appended zero row.
+        slot = np.where(valid, np.cumsum(valid).reshape(valid.shape) - 1, -1)
+        h, alphas = emb.embed_sequence(items[valid], ctxs[valid], self.embedding)
+        zero = Tensor(np.zeros((1, self.config.dim)))
         attention = []
-        for l, (kernels, attn_heads, positions, (w1, b1, w2, b2)) in enumerate(self.layers):
-            if l:
-                # Padded rows must enter every layer as zeros, as they enter
-                # the first, or the conv taps read them into valid rows.
-                h = h * Tensor(valid[..., None])
-            twin, weights = twin_forward(h, kernels, attn_heads, positions, valid)
-            h = (twin @ w1 + b1).gelu() @ w2 + b2
+        for kernels, attn_heads, positions, (w1, b1, w2, b2) in self.layers:
+            twin, weights = twin_forward(concat([h, zero])[slot], kernels, attn_heads,
+                                         positions, valid)
+            h = (twin[valid] @ w1 + b1).gelu() @ w2 + b2
             attention.append(weights)
-        rows = valid.reshape(-1, t)
-        last = t - 1 - np.argmax(rows[:, ::-1], axis=1)
-        z = h.reshape(-1, t, self.config.dim)[np.arange(len(rows)), last]
+        z = h[slot.reshape(-1, t).max(axis=1)]
         logits = z @ self.params["out.w"] + self.params["out.b"]
         return {"logits": logits, "hidden": h, "attention": attention, "alphas": alphas}
 
@@ -215,7 +218,7 @@ class SequentialRecommender:
             raise ValueError(f"target {bad[0]} outside item range")
         t = max(len(items) for items, _, _ in batch)
         items = np.full((len(batch), t), PAD_ITEM, dtype=np.int64)
-        ctxs = np.full((len(batch), t), UNK_CONTEXT, dtype=np.int64)
+        ctxs = np.zeros_like(items)
         for row, (window, contexts, _) in enumerate(batch):
             items[row, :len(window)] = window
             ctxs[row, :len(window)] = contexts
@@ -232,8 +235,8 @@ class SequentialRecommender:
     # -- persistence ----------------------------------------------------
 
     def save(self, path, vocab_digest=None):
-        """Write config + manifest + the arena's little-endian bytes, and ``vocab_digest`` if given."""
-        raw = np.asarray(self.params.flat, self.params.flat.dtype.newbyteorder("<"))
+        """Write config + manifest + the arena as little-endian float32, and ``vocab_digest``."""
+        raw = np.asarray(self.params.flat, "<f4")
         header = {"magic": CHECKPOINT_MAGIC,
                   "config": asdict(self.config),
                   "seed": self.seed,
@@ -248,10 +251,11 @@ class SequentialRecommender:
     @classmethod
     def load(cls, path):
         """Check the manifest and payload length against the header config's layout before building
-        the model, then read the payload into its arena, which starts zeroed: nothing is drawn.
-        A payload holding a non-finite value is rejected, naming the first such tensor in layout
-        order. ``vocab_digest`` is ``save``'s, or None. Sets the process's heap policy
-        (``keep_heap``) first, so that serving keeps its per-request temporaries' heap pages."""
+        the model, then read the float32 payload into its float32 arena (whatever ``use_dtype`` is
+        in force), which starts zeroed: nothing is drawn. A payload holding a non-finite value is
+        rejected, naming the first such tensor in layout order. ``vocab_digest`` is ``save``'s, or
+        None. Sets the process's heap policy (``keep_heap``) first, so that serving keeps its
+        per-request temporaries' heap pages."""
         keep_heap()
         with open(path, "rb") as f:
             try:
@@ -266,9 +270,7 @@ class SequentialRecommender:
                 seed, entries = header["seed"], list(header["tensors"])
                 if type(seed) is not int or seed < 0:
                     raise ValueError(f"seed {seed!r} is not a non-negative integer")
-                first = entries[0] if entries and isinstance(entries[0], dict) else {}
-                dtype = np.dtype(np.float64 if first.get("dtype") == "float64" else np.float32)
-                want, size = checkpoint_manifest(config, dtype)
+                want, size = checkpoint_manifest(config, np.float32)
             except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}: malformed header ({type(e).__name__}: {e}); "
                                  f"run train again") from None
@@ -280,12 +282,10 @@ class SequentialRecommender:
                 raise ValueError(f"{path}: the payload holds {payload} bytes, but the manifest's "
                                  f"last tensor, {want[-1]['name']!r}, ends at byte {size}")
             model = cls.__new__(cls)
-            model._assemble(config, seed)
+            with use_dtype(np.float32):
+                model._assemble(config, seed)
             model.vocab_digest = header.get("vocab_digest")
-            if dtype == model.params.flat.dtype:
-                f.readinto(model.params.flat)
-            else:
-                model.params.flat[...] = np.frombuffer(f.read(), dtype)
+            f.readinto(model.params.flat)
         bad = model.params.first_nonfinite()
         if bad is not None:
             raise ValueError(f"{path}: tensor {bad!r} holds a non-finite value; run train again")

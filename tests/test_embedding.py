@@ -205,11 +205,12 @@ class TestEmbedSequence:
         h, _ = embed_sequence([3], [1], params)
         assert h.data.shape == (1, 4)
 
-    def test_all_padding_is_zero(self):
+    def test_padding_item_is_rejected(self):
+        # Padding is removed by the model before the embedding; it is not an item.
         rng = np.random.default_rng(8)
         params = make_params(rng, [2, 5], dim=4)
-        h, _ = embed_sequence([PAD_ITEM, PAD_ITEM], [0, 0], params)
-        np.testing.assert_array_equal(h.data, np.zeros((2, 4)))
+        with pytest.raises(IndexError, match="out of range"):
+            embed_sequence([3, PAD_ITEM], [1, 0], params)
 
     def test_rows_match_per_item_pipeline(self):
         rng = np.random.default_rng(9)

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 import zlib
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +89,26 @@ class TestForward:
         # a trailing pad is masked out of attention and enters every layer
         # as a zero row, like the conv's own zero padding
         np.testing.assert_allclose(padded, plain, rtol=0, atol=1e-12)
+
+    def test_hidden_and_alphas_are_the_packed_valid_rows(self):
+        from twinrec.embedding import PAD_ITEM
+        rng = np.random.default_rng(5)
+        model = SequentialRecommender(tiny_config(n_layers=2), seed=5)
+        items = rng.integers(0, 12, size=(3, 6))
+        items[0, 4:] = items[2, 1:] = PAD_ITEM
+        ctxs = rng.integers(0, 6, size=(3, 6))
+        result = model.forward(items, ctxs)
+        n_valid = int((items != PAD_ITEM).sum())
+        assert result["hidden"].data.shape == (n_valid, 8)
+        assert result["alphas"].data.shape == (n_valid, 2)
+        assert result["logits"].data.shape == (3, 12)
+
+    def test_misaligned_contexts_rejected(self):
+        model = SequentialRecommender(tiny_config(), seed=5)
+        with pytest.raises(ValueError, match="misaligned"):
+            model.forward([[1, 2, 3]], [[1, 2]])
+        with pytest.raises(ValueError, match="misaligned"):
+            model.forward([1, 2, 3], [[1, 2, 3]])
 
     def test_default_dtype_stays_float32(self):
         model = SequentialRecommender(tiny_config(), seed=3)
@@ -567,7 +588,7 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_float64_checkpoint_loads_into_float32_model(self, tmp_path):
+    def test_float64_model_saves_a_float32_checkpoint(self, tmp_path):
         with use_dtype(np.float64):
             model = SequentialRecommender(tiny_config(), seed=22)
         path = tmp_path / "ckpt.bin"
@@ -576,6 +597,14 @@ class TestCheckpoint:
         for name, p in loaded.params.items():
             assert p.data.dtype == np.float32
             np.testing.assert_array_equal(p.data, model.params[name].data.astype(np.float32))
+
+    def test_float64_manifest_rejected(self, tmp_path):
+        # A header that describes its payload as float64 throughout, as no save writes.
+        path = self.saved(tmp_path)
+        self.rewrite(path, lambda h: h.update(
+            tensors=checkpoint_manifest(tiny_config(), np.float64)[0]))
+        with pytest.raises(ValueError, match="manifest entry 0 "):
+            SequentialRecommender.load(path)
 
     def test_load_peaks_no_higher_than_construction(self, tmp_path):
         # out.w alone is 64 x 20000 float32 values, 5.1 MB.
@@ -647,3 +676,13 @@ class TestCheckpoint:
         for name, p in model.params.items():
             assert p.data is arrays[name]
         np.testing.assert_array_equal(model.params.flat, snapshot)
+
+
+def test_padding_is_known_to_the_model_only():
+    # forward packs the valid positions; no other module reads the padding item.
+    for path in sorted(Path(model_module.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if path.name == "embedding.py":
+            assert text.count("PAD_ITEM") == 1 and "PAD_ITEM = " in text
+        elif path.name != "model.py":
+            assert "PAD_ITEM" not in text, path.name
