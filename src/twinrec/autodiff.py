@@ -8,7 +8,7 @@ forward passes in ``use_dtype(np.float64)`` when checking gradients.
 Only the operations the model actually needs are implemented: elementwise
 arithmetic with numpy-style broadcasting, matmul and transpose over the last
 two axes (leading batch axes broadcast), concat, numpy indexing (the
-backward is one scatter-add), softmax, SiLU, GeLU, sum, reshape, a fused
+backward is one scatter-add), softmax, SiLU, GeLU, sum, a fused
 mean cross-entropy and an arena's L2 value. Inside ``no_grad()`` nothing is
 recorded. Ops check no values: ``train`` and ``load`` catch non-finite ones.
 
@@ -138,7 +138,8 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def backward(self):
-        """Populate ``grad`` on every requires_grad tensor reachable from this scalar."""
+        """Populate ``grad`` on every requires_grad leaf reachable from this scalar; an interior
+        node's gradient is dropped as soon as its closure has passed it on."""
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.data.shape}")
         topo = []
@@ -160,6 +161,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- arithmetic -----------------------------------------------------
     # A backward closure gets its output's gradient as ``g`` and never refers
@@ -214,12 +216,6 @@ class Tensor:
         out = Tensor._result(self.data.swapaxes(-1, -2), (self,))
         if out.requires_grad:
             out._backward = lambda g: self._accum(g.swapaxes(-1, -2))
-        return out
-
-    def reshape(self, *shape):
-        out = Tensor._result(self.data.reshape(*shape), (self,))
-        if out.requires_grad:
-            out._backward = lambda g: self._accum(g.reshape(self.data.shape))
         return out
 
     def sum(self, axis=None, keepdims=False):

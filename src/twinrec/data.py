@@ -242,8 +242,8 @@ def build_context_vocab(sequences):
 def _windows(seq, ctx_vocab, max_len, ends):
     """(items, contexts, target) for the window before each position in range ``ends``.
 
-    Converts only the span the windows cover and looks up each position's
-    context once; a window's first position takes its PAD-previous context.
+    Items are views of the history; contexts are copies, each window's first position taking its
+    PAD-previous context. Each position's context in the windows' span is looked up once.
     """
     lo, hi = max(0, ends.start - max_len), ends.stop - 1
     pad, true = _contexts(seq, lo, hi)
@@ -253,7 +253,7 @@ def _windows(seq, ctx_vocab, max_len, ends):
         start = max(0, end - max_len)
         ctxs = true[start - lo:end - lo].copy()
         ctxs[0] = ctx_vocab.lookup(pad[start - lo])
-        out.append((seq.items[start:end].copy(), ctxs, target))
+        out.append((seq.items[start:end], ctxs, target))
     return out
 
 

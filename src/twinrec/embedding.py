@@ -19,10 +19,6 @@ import numpy as np
 from .atomic import atomic_write
 from .autodiff import Tensor, concat
 
-# Item padding sentinel lives outside the quotient-remainder range; real
-# items use 0-based global indices. Only ``model.SequentialRecommender.forward``
-# reads it: it removes padded positions before they reach this module.
-PAD_ITEM = -1
 # Category index 0 is reserved for the padded previous-category at the
 # start of a window; real categories are 1-based.
 PAD_CATEGORY = 0
@@ -159,7 +155,7 @@ def embed_sequence(item_indices, ctx_indices, params):
     """Compositional embeddings of items (..., T): a (..., T, D) tensor.
 
     Fusion is dynamic unless ``params.w_att`` is None, and then static.
-    Every index must be an item's: the caller removes padding first.
+    Every index must be an item's; no index stands for padding.
     Returns (H, alphas) where alphas is None for static fusion.
     """
     items = np.asarray(item_indices, dtype=np.int64)

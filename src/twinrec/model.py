@@ -1,9 +1,10 @@
 """Full recommender: compositional embedding -> twin encoder -> FFN -> ranking.
 
-The readout takes the last valid position of the encoder output, maps it
-through a point-wise feed-forward network and a ``(D, |V|)`` output layer,
-and produces a probability distribution over the whole item set. Variants
-swap individual components for ablation:
+The model reads one window of items, or a batch's windows concatenated with
+their lengths; no item id stands for padding. The readout takes each
+window's last position after the encoder layers, maps it through a
+``(D, |V|)`` output layer and produces a probability distribution over the
+whole item set. Variants swap individual components for ablation:
 
   full        the complete model
   full_emb    a single uncompressed base table (N=1, m1=|V|)
@@ -27,7 +28,7 @@ from .atomic import atomic_write
 from .autodiff import Arena, Tensor, concat, keep_heap, l2_penalty, use_dtype
 from . import embedding as emb
 from .encoder import twin_forward
-from .embedding import EmbeddingParams, PAD_ITEM
+from .embedding import EmbeddingParams
 
 VARIANTS = ("full", "full_emb", "wo_dynamic", "plain_attn")
 
@@ -146,29 +147,34 @@ class SequentialRecommender:
 
     # -- forward --------------------------------------------------------
 
-    def forward(self, items, ctx_indices):
-        """Run the full pipeline for one sequence (T,) or a batch (B, T) right-padded with PAD_ITEM.
+    def forward(self, items, ctx_indices, lengths=None):
+        """Run the full pipeline for one window (T,), or for windows of ``lengths`` concatenated.
 
-        The only code that knows about padding: the embedding and FFNs run on the valid positions
-        packed row-major, and each encoder gathers its (…, T) grid from them and one zero row.
-        Returns a dict with the last-valid-position logits, (1 or B, |V|), the packed (N_valid, ·)
-        ``hidden`` and ``alphas`` (one row per position for an unpadded sequence) and the
-        per-layer, per-head attention weights."""
+        The embedding and FFNs run on the (N, ·) rows; each encoder gathers its (T, ·) or
+        (B, T, ·) grid from them and one zero row, which the slots past a window's end read.
+        Returns a dict with each window's last-position logits, (1 or B, |V|), the (N, ·)
+        ``hidden`` and ``alphas`` and the per-layer, per-head attention weights."""
         items = np.asarray(items, dtype=np.int64)
         ctxs = np.asarray(ctx_indices, dtype=np.int64)
-        if items.shape != ctxs.shape:
-            raise ValueError(f"items {items.shape} and contexts {ctxs.shape} misaligned")
-        if items.size == 0:
-            raise ValueError("empty sequence")
-        t = items.shape[-1]
+        if items.ndim != 1 or items.shape != ctxs.shape:
+            raise ValueError(f"items {items.shape} and contexts {ctxs.shape} misaligned or not 1-D")
+        bad = items[(items < 0) | (items >= self.config.vocab_size)]
+        if bad.size:
+            raise ValueError(f"item {bad[0]} outside item range")
+        sizes = np.asarray([items.size] if lengths is None else lengths, dtype=np.int64)
+        if sizes.ndim != 1 or not sizes.size or sizes.min() < 1:
+            raise ValueError(f"window lengths {sizes.tolist()}: need one or more, each at least 1")
+        if sizes.sum() != items.size:
+            raise ValueError(f"window lengths sum to {sizes.sum()}, not to the {items.size} items")
+        t = sizes.max()
         if t > self.config.max_len:
             raise ValueError(f"sequence length {t} exceeds max_len {self.config.max_len}")
-        valid = items != PAD_ITEM
-        if not valid.any(axis=-1).all():
-            raise ValueError("sequence contains only padding")
-        # Each valid position's packed row; a padded one's -1 reads the appended zero row.
-        slot = np.where(valid, np.cumsum(valid).reshape(valid.shape) - 1, -1)
-        h, alphas = emb.embed_sequence(items[valid], ctxs[valid], self.embedding)
+        ends = np.cumsum(sizes)
+        valid = np.arange(t) < sizes[:, None]
+        slot = np.where(valid, (ends - sizes)[:, None] + np.arange(t), -1)
+        if lengths is None:  # one window: its grid has no batch axis
+            valid, slot = valid[0], slot[0]
+        h, alphas = emb.embed_sequence(items, ctxs, self.embedding)
         zero = Tensor(np.zeros((1, self.config.dim)))
         attention = []
         for kernels, attn_heads, positions, (w1, b1, w2, b2) in self.layers:
@@ -176,8 +182,7 @@ class SequentialRecommender:
                                          positions, valid)
             h = (twin[valid] @ w1 + b1).gelu() @ w2 + b2
             attention.append(weights)
-        z = h[slot.reshape(-1, t).max(axis=1)]
-        logits = z @ self.params["out.w"] + self.params["out.b"]
+        logits = h[ends - 1] @ self.params["out.w"] + self.params["out.b"]
         return {"logits": logits, "hidden": h, "attention": attention, "alphas": alphas}
 
     def forward_scores(self, items, ctx_indices):
@@ -210,19 +215,15 @@ class SequentialRecommender:
     def training_loss(self, batch, lam):
         """Mean cross-entropy over the batch plus lam * sum of squared parameters.
 
-        One graph: windows are right-padded with PAD_ITEM, keeping their positions.
+        One graph: ``forward`` reads the batch's windows concatenated, with their lengths.
         """
         targets = np.array([target for _, _, target in batch], dtype=np.int64)
         bad = targets[(targets < 0) | (targets >= self.config.vocab_size)]
         if bad.size:
             raise ValueError(f"target {bad[0]} outside item range")
-        t = max(len(items) for items, _, _ in batch)
-        items = np.full((len(batch), t), PAD_ITEM, dtype=np.int64)
-        ctxs = np.zeros_like(items)
-        for row, (window, contexts, _) in enumerate(batch):
-            items[row, :len(window)] = window
-            ctxs[row, :len(window)] = contexts
-        loss = autodiff.cross_entropy(self.forward(items, ctxs)["logits"], targets)
+        items, ctxs, _ = zip(*batch)
+        out = self.forward(np.concatenate(items), np.concatenate(ctxs), list(map(len, items)))
+        loss = autodiff.cross_entropy(out["logits"], targets)
         if lam:
             loss = loss + lam * l2_penalty(self.params)
         return loss

@@ -218,6 +218,7 @@ def train(model, samples, config, val_sequences=None, ctx_vocab=None,
             except FloatingPointError as e:
                 raise RuntimeError(f"{where}: {e} in the backward pass or the update; "
                                    f"{_divergence_site(model.params)}") from None
+            del loss  # frees this batch's graph before the next batch builds its own
             epoch_loss += value
             n_batches += 1
         epoch_loss /= n_batches

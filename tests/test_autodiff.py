@@ -82,6 +82,14 @@ class TestBackward:
         y.sum().backward()
         assert x.grad[0] == pytest.approx(2.0 + 6.0)
 
+    def test_interior_gradients_are_dropped_once_passed_on(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        y = x * 3.0
+        loss = (y * y).sum()
+        loss.backward()
+        assert y.grad is None and loss.grad is None
+        np.testing.assert_array_equal(x.grad, [18.0, -36.0])
+
     def test_concat_splits_gradients_exactly(self):
         a = Tensor([[1.0, 2.0]], requires_grad=True)
         b = Tensor([[3.0, 4.0], [5.0, 6.0]], requires_grad=True)

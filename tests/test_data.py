@@ -292,6 +292,13 @@ class TestSamples:
         # naive slicing oracle: input is the last 3 of v1..v5, target v6
         assert items.tolist() == [2, 3, 4] and target == 5
 
+    def test_window_items_are_views_of_the_history(self):
+        seq = user_seq(list(range(8)), [1] * 8, [0] * 8)
+        windows = generate_training_samples(seq, self.make_vocab(seq), max_len=3)
+        windows.append(eval_input(seq, self.make_vocab(seq), 3, "test"))
+        for items, _, _ in windows:
+            assert items.base is seq.items
+
     def test_split_disjointness(self):
         seq = user_seq(list(range(9)), [1] * 9, [0] * 9)
         samples = generate_training_samples(seq, self.make_vocab(seq), max_len=5)

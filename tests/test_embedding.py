@@ -5,7 +5,7 @@ import pytest
 
 from twinrec.autodiff import Tensor, use_dtype
 from twinrec.embedding import (ContextVocab, EmbeddingParams, PAD_CATEGORY,
-                               PAD_ITEM, UNK_CONTEXT, contextualize, decompose_index,
+                               UNK_CONTEXT, contextualize, decompose_index,
                                decompose_indices, embed_sequence,
                                fuse_dynamic, fuse_static, lookup_bases)
 
@@ -205,12 +205,13 @@ class TestEmbedSequence:
         h, _ = embed_sequence([3], [1], params)
         assert h.data.shape == (1, 4)
 
-    def test_padding_item_is_rejected(self):
-        # Padding is removed by the model before the embedding; it is not an item.
+    def test_negative_index_is_rejected(self):
+        # No index stands for padding: -1 is out of range like any other negative index.
         rng = np.random.default_rng(8)
         params = make_params(rng, [2, 5], dim=4)
-        with pytest.raises(IndexError, match="out of range"):
-            embed_sequence([3, PAD_ITEM], [1, 0], params)
+        for items in ([3, -1], [-1, 3], [-2]):
+            with pytest.raises(IndexError, match="out of range"):
+                embed_sequence(items, [1] * len(items), params)
 
     def test_rows_match_per_item_pipeline(self):
         rng = np.random.default_rng(9)

@@ -1,21 +1,23 @@
 import gc
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
 import platform
 import subprocess
 import sys
 import tracemalloc
 import zlib
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import twinrec
 from twinrec import model as model_module
 from twinrec.autodiff import Arena, Tensor, finite_diff_check, use_dtype, zero_grads
 from twinrec.model import (CHECKPOINT_MAGIC, VARIANTS, ModelConfig, SequentialRecommender,
@@ -77,31 +79,31 @@ class TestForward:
         np.testing.assert_allclose(probs, expect, atol=1e-9)
 
     def test_last_valid_position_readout(self):
-        from twinrec.embedding import PAD_ITEM
         rng = np.random.default_rng(3)
         with use_dtype(np.float64):
             model = SequentialRecommender(tiny_config(n_layers=2), seed=3)
-            items, ctxs = random_sequence(rng, model.config, t=4)
-            plain = model.forward_scores(items, ctxs).data
-            padded_items = np.concatenate([items, [PAD_ITEM]])
-            padded_ctxs = np.concatenate([ctxs, [0]])
-            padded = model.forward_scores(padded_items, padded_ctxs).data
-        # a trailing pad is masked out of attention and enters every layer
-        # as a zero row, like the conv's own zero padding
-        np.testing.assert_allclose(padded, plain, rtol=0, atol=1e-12)
+            windows = [random_sequence(rng, model.config, t=t) for t in (7, 4)]
+            alone = [model.forward_scores(it, cx).data[0] for it, cx in windows]
+            beside = model.forward(np.concatenate([it for it, _ in windows]),
+                                   np.concatenate([cx for _, cx in windows]),
+                                   [7, 4])["logits"].softmax(axis=-1).data
+        # beside the longer window, the shorter one's grid row ends in three
+        # slots that are masked out of attention and enter every layer as zero
+        # rows, like the conv's own zero padding
+        np.testing.assert_allclose(beside, np.stack(alone), rtol=0, atol=1e-12)
 
     def test_hidden_and_alphas_are_the_packed_valid_rows(self):
-        from twinrec.embedding import PAD_ITEM
         rng = np.random.default_rng(5)
         model = SequentialRecommender(tiny_config(n_layers=2), seed=5)
-        items = rng.integers(0, 12, size=(3, 6))
-        items[0, 4:] = items[2, 1:] = PAD_ITEM
-        ctxs = rng.integers(0, 6, size=(3, 6))
-        result = model.forward(items, ctxs)
-        n_valid = int((items != PAD_ITEM).sum())
-        assert result["hidden"].data.shape == (n_valid, 8)
-        assert result["alphas"].data.shape == (n_valid, 2)
+        items, ctxs = random_sequence(rng, model.config, t=11)
+        result = model.forward(items, ctxs, [4, 6, 1])
+        assert result["hidden"].data.shape == (11, 8)
+        assert result["alphas"].data.shape == (11, 2)
         assert result["logits"].data.shape == (3, 12)
+        assert result["attention"][0][0].data.shape == (3, 6, 6)
+        single = model.forward(items[:4], ctxs[:4])
+        assert single["hidden"].data.shape == (4, 8)
+        assert single["attention"][0][0].data.shape == (4, 4)
 
     def test_misaligned_contexts_rejected(self):
         model = SequentialRecommender(tiny_config(), seed=5)
@@ -109,6 +111,41 @@ class TestForward:
             model.forward([[1, 2, 3]], [[1, 2]])
         with pytest.raises(ValueError, match="misaligned"):
             model.forward([1, 2, 3], [[1, 2, 3]])
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    @pytest.mark.parametrize("item,config", [
+        (-1, tiny_config()),  # no item id stands for padding
+        (11, tiny_config(vocab_size=10, m1=3))])  # base tables of 3 and 4 rows cover 12 ids
+    def test_item_outside_the_catalogue_is_rejected(self, where, item, config):
+        rng = np.random.default_rng(6)
+        model = SequentialRecommender(config, seed=6)
+        items, ctxs = random_sequence(rng, model.config)
+        items[where] = item
+        other = (*random_sequence(rng, model.config, t=8), 1)
+        message = f"item {item} outside item range"
+        with pytest.raises(ValueError, match=message):
+            model.forward_scores(items, ctxs)
+        with pytest.raises(ValueError, match=message):
+            model.predict_topk(items, ctxs, 3)
+        with pytest.raises(ValueError, match=message):
+            model.training_loss([other, (items, ctxs, 2)], lam=0.0)
+
+    @pytest.mark.parametrize("lengths,message", [
+        ([2, 2], "sum to 4"), ([3, 3], "sum to 6"), ([5, 0], "at least 1"),
+        ([6, -1], "at least 1"), ([], "at least 1"), ([[5]], "at least 1")])
+    def test_lengths_that_do_not_describe_the_items_rejected(self, lengths, message):
+        model = SequentialRecommender(tiny_config(), seed=6)
+        items, ctxs = random_sequence(np.random.default_rng(6), model.config)
+        with pytest.raises(ValueError, match=message):
+            model.forward(items, ctxs, lengths)
+
+    def test_window_longer_than_max_len_rejected(self):
+        model = SequentialRecommender(tiny_config(), seed=6)
+        items, ctxs = random_sequence(np.random.default_rng(6), model.config, t=13)
+        with pytest.raises(ValueError, match="exceeds max_len 10"):
+            model.forward(items, ctxs, [2, 11])
+        with pytest.raises(ValueError, match="exceeds max_len 10"):
+            model.forward_scores(items[:11], ctxs[:11])
 
     def test_default_dtype_stays_float32(self):
         model = SequentialRecommender(tiny_config(), seed=3)
@@ -128,17 +165,13 @@ class TestForward:
            st.integers(0, 2**32 - 1))
     @example(lengths=[3, 7, 1], seed=4)
     def test_batch_rows_match_single_sequences(self, lengths, seed):
-        from twinrec.embedding import PAD_ITEM
         rng = np.random.default_rng(seed)
         with use_dtype(np.float64):
             model = SequentialRecommender(tiny_config(n_layers=2), seed=4)
             windows = [random_sequence(rng, model.config, t=t) for t in lengths]
-            items = np.full((len(lengths), max(lengths)), PAD_ITEM)
-            ctxs = np.zeros((len(lengths), max(lengths)), dtype=np.int64)
-            for row, (it, cx) in enumerate(windows):
-                items[row, :len(it)] = it
-                ctxs[row, :len(cx)] = cx
-            batched = model.forward(items, ctxs)["logits"].data
+            batched = model.forward(np.concatenate([it for it, _ in windows]),
+                                    np.concatenate([cx for _, cx in windows]),
+                                    lengths)["logits"].data
             single = [model.forward(it, cx)["logits"].data[0] for it, cx in windows]
         assert batched.shape == (len(lengths), 12)
         np.testing.assert_allclose(batched, np.stack(single), rtol=0, atol=1e-12)
@@ -678,11 +711,11 @@ class TestCheckpoint:
         np.testing.assert_array_equal(model.params.flat, snapshot)
 
 
-def test_padding_is_known_to_the_model_only():
-    # forward packs the valid positions; no other module reads the padding item.
-    for path in sorted(Path(model_module.__file__).parent.glob("*.py")):
-        text = path.read_text()
-        if path.name == "embedding.py":
-            assert text.count("PAD_ITEM") == 1 and "PAD_ITEM = " in text
-        elif path.name != "model.py":
-            assert "PAD_ITEM" not in text, path.name
+def test_no_module_names_a_padding_item():
+    # forward reads windows with their lengths; no item id stands for padding.
+    # The one padding constant left is the category before a window's start.
+    names = set()
+    for info in pkgutil.iter_modules(twinrec.__path__):
+        module = importlib.import_module(f"twinrec.{info.name}")
+        names.update(name for name in vars(module) if name.startswith("PAD"))
+    assert names == {"PAD_CATEGORY"}
