@@ -8,9 +8,10 @@ forward passes in ``use_dtype(np.float64)`` when checking gradients.
 Only the operations the model actually needs are implemented: elementwise
 arithmetic with numpy-style broadcasting, matmul and transpose over the last
 two axes (leading batch axes broadcast), concat, numpy indexing (the
-backward is one scatter-add), softmax, SiLU, GeLU, sum, a fused
-mean cross-entropy and an arena's L2 value. Inside ``no_grad()`` nothing is
-recorded. Ops check no values: ``train`` and ``load`` catch non-finite ones.
+backward is one scatter-add, or one assignment under a boolean mask),
+softmax, SiLU, GeLU, sum, a fused mean cross-entropy and an arena's L2
+value. Inside ``no_grad()`` nothing is recorded. Ops check no values:
+``train`` and ``load`` catch non-finite ones.
 
 An ``Arena`` holds leaves (parameters) as views of one flat array; once its
 ``grad_flat()`` exists, a leaf's gradient lives in its slice of that array:
@@ -229,9 +230,11 @@ class Tensor:
         return out
 
     def __getitem__(self, key):
-        """Numpy indexing; the backward scatter-adds, so repeated rows accumulate."""
+        """Numpy indexing; the backward scatter-adds, so repeated rows accumulate. A boolean
+        mask selects each element once, so its backward assigns instead."""
         out = Tensor._result(self.data[key], (self,))
         if out.requires_grad:
+            masked = isinstance(key, np.ndarray) and key.dtype == bool
             def bw(g):
                 # A leaf's first gradient is scattered into its own zeroed arena slice.
                 buf = self._first_grad_buffer()
@@ -240,7 +243,10 @@ class Tensor:
                     buf.fill(0)
                 else:
                     buf = np.zeros_like(self.data)
-                np.add.at(buf, key, g)
+                if masked:
+                    buf[key] = g
+                else:
+                    np.add.at(buf, key, g)
                 if not first:
                     self._accum(buf)
             out._backward = bw

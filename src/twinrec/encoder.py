@@ -11,7 +11,11 @@ under any leading batch shape.
 The functions take parameter tensors: a conv head is its (L, D) kernel, an
 attention head a ``(w_q, w_k, w_v)`` triple of (D, D) matrices, and the
 position table a (T_max, D) tensor whose row t serves position t only; L
-and T_max are read from those shapes."""
+and T_max are read from those shapes.
+
+Each head is one graph node with a hand-written backward. A conv head
+keeps its padded input; an attention head, from q, k and v to its output,
+keeps only its (..., T, T) softmax weights."""
 
 from __future__ import annotations
 
@@ -59,6 +63,13 @@ def attn_branch(h, positions, head, n_heads, valid_mask=None):
     ``head`` is the ``(w_q, w_k, w_v)`` triple and ``positions`` the (T_max, D)
     position table. Works on (..., T, D); ``valid_mask`` has shape (..., T).
     Returns (output (..., T, D), attention weights (..., T, T)).
+
+    The head is one graph node from q, k and v to its output. The forward
+    works in one (..., T, T) array: ``q kᵀ``, scaled, key-biased and softmaxed
+    in place, so the node keeps only the weights. The backward reads them
+    with q, k and v. Both do the generic ops' operations in their order, so
+    values and gradients are the same to the bit. The returned weights are a
+    read-only view of that array, outside the graph.
     """
     t, d = h.data.shape[-2:]
     max_len = positions.data.shape[0]
@@ -67,14 +78,35 @@ def attn_branch(h, positions, head, n_heads, valid_mask=None):
     ht = h + positions[:t]
     q, k, v = (ht @ w.transpose() for w in head)
     scale = 1.0 / math.sqrt(d / n_heads)
-    logits = (q @ k.transpose()) * scale
+    w = q.data @ k.data.swapaxes(-1, -2)
+    w *= scale
     if valid_mask is not None:
         valid = np.asarray(valid_mask, dtype=bool)
         if not valid.any(axis=-1).all():
             raise ValueError("attention: a row has no valid key")
-        logits = logits + np.where(valid, 0.0, -np.inf)[..., None, :]
-    weights = logits.softmax(axis=-1)
-    return weights @ v, weights
+        w += np.where(valid, 0.0, -np.inf).astype(w.dtype)[..., None, :]
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    out = Tensor._result(w @ v.data, (q, k, v))
+    if out.requires_grad:
+        def bw(g):
+            if v.requires_grad:
+                v._accum(w.swapaxes(-1, -2) @ g)
+            if q.requires_grad or k.requires_grad:
+                # The weights' gradient, turned into the scaled logits' gradient in place.
+                gs = g @ v.data.swapaxes(-1, -2)
+                gs -= (gs * w).sum(axis=-1, keepdims=True)
+                gs *= w
+                gs *= scale
+                if q.requires_grad:
+                    q._accum(gs @ k.data)
+                if k.requires_grad:
+                    k._accum((q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+        out._backward = bw
+    weights = w.view()
+    weights.flags.writeable = False
+    return out, Tensor._result(weights, ())
 
 
 def twin_forward(h, kernels, attn_heads, positions, valid_mask=None):

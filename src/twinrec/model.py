@@ -153,7 +153,8 @@ class SequentialRecommender:
         The embedding and FFNs run on the (N, ·) rows; each encoder gathers its (T, ·) or
         (B, T, ·) grid from them and one zero row, which the slots past a window's end read.
         Returns a dict with each window's last-position logits, (1 or B, |V|), the (N, ·)
-        ``hidden`` and ``alphas`` and the per-layer, per-head attention weights."""
+        ``hidden`` and ``alphas`` and the per-layer, per-head attention weights, which are
+        read-only."""
         items = np.asarray(items, dtype=np.int64)
         ctxs = np.asarray(ctx_indices, dtype=np.int64)
         if items.ndim != 1 or items.shape != ctxs.shape:

@@ -116,6 +116,22 @@ class TestBackward:
                                                [3.0 + 1.0, 4.0 + 1.0 + 3.0],
                                                [0.0, 3.0]])
 
+    def test_boolean_mask_gather_assigns_what_add_at_would_scatter(self):
+        rng = np.random.default_rng(4)
+        mask = rng.random((3, 4)) < 0.5
+        g_leaf, g_interior = rng.standard_normal((2, mask.sum(), 5)).astype(np.float32)
+        params = Arena({"a": (3, 4, 5)})
+        params.grad_flat()
+        a = params["a"]  # its first gradient goes into its arena slice
+        x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+        y = x * 1.0  # an interior node, with no gradient slice
+        ((a[mask] * g_leaf).sum() + (y[mask] * g_interior).sum()).backward()
+        for got, g in ((a.grad, g_leaf), (x.grad, g_interior)):
+            want = np.zeros((3, 4, 5), np.float32)
+            np.add.at(want, mask, g)
+            np.testing.assert_array_equal(got, want)
+        assert np.shares_memory(a.grad, params.grad_flat())
+
     def test_leaf_accumulates_after_read_only_first_gradient(self):
         # ``sum``'s backward hands its input a read-only broadcast view.
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)

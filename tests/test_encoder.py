@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from twinrec.autodiff import Tensor, use_dtype
+from twinrec.autodiff import Tensor, finite_diff_check, use_dtype
 from twinrec.encoder import attn_branch, conv_branch, count_branch_params, twin_forward
+from twinrec.model import ModelConfig, SequentialRecommender
 
 
 def naive_conv(h, kernels):
@@ -31,6 +32,16 @@ def naive_attn(h, pos, w_q, w_k, w_v, n_heads):
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     a = e / e.sum(axis=1, keepdims=True)
     return a @ v, a
+
+
+def generic_attn(h, positions, head, n_heads, valid):
+    """The key-biased head built from the generic ops, one graph node per op."""
+    t, d = h.data.shape[-2:]
+    ht = h + positions[:t]
+    q, k, v = (ht @ w.transpose() for w in head)
+    logits = (q @ k.transpose()) * (1.0 / math.sqrt(d / n_heads))
+    logits = logits + np.where(valid, 0.0, -np.inf)[..., None, :]
+    return logits.softmax(axis=-1) @ v
 
 
 class TestConvBranch:
@@ -163,6 +174,70 @@ class TestAttnBranch:
         logits = np.where(valid[:, None, :], logits, logits.dtype.type(-np.inf))
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         np.testing.assert_array_equal(weights.data, e / e.sum(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("valid", [np.arange(6) < np.array([6, 1, 3, 5])[:, None],
+                                       np.arange(6) < 4])
+    def test_matches_generic_ops_to_the_bit(self, valid):
+        rng = np.random.default_rng(17)
+        d, t = 8, 6
+        h0 = rng.standard_normal(valid.shape + (d,))
+        pos0 = rng.standard_normal((t + 2, d))
+        heads0 = [rng.standard_normal((d, d)) for _ in range(3)]
+        g = Tensor(rng.standard_normal(h0.shape))
+        results = []
+        for head_output in (lambda *a: attn_branch(*a)[0], generic_attn):
+            h, pos = Tensor(h0, requires_grad=True), Tensor(pos0, requires_grad=True)
+            head = tuple(Tensor(w, requires_grad=True) for w in heads0)
+            out = head_output(h, pos, head, 1, valid)  # scale 1/sqrt(8): not a power of two
+            (out * g).sum().backward()
+            results.append([out.data, h.grad, pos.grad] + [w.grad for w in head])
+        assert results[0][0].dtype == np.float32
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    def test_masked_head_matches_finite_differences(self):
+        rng = np.random.default_rng(18)
+        d, t = 4, 5
+        valid = np.arange(t) < np.array([5, 2, 4])[:, None]
+        with use_dtype(np.float64):
+            params = {name: Tensor(rng.standard_normal(shape), requires_grad=True)
+                      for name, shape in [("h", (3, t, d)), ("positions", (t, d)),
+                                          ("w_q", (d, d)), ("w_k", (d, d)), ("w_v", (d, d))]}
+            head = tuple(params[f"w_{x}"] for x in "qkv")
+            g = Tensor(rng.standard_normal((3, t, d)))
+            report = finite_diff_check(
+                lambda: (attn_branch(params["h"], params["positions"], head, 2, valid)[0]
+                         * g).sum(),
+                params, eps=1e-5, n_samples=8)
+        assert max(report.values()) < 1e-5
+
+    def test_training_graph_keeps_no_attention_sized_array(self):
+        # The head's (B, T, T) weights live in its node's backward, not in any node's data.
+        cfg = ModelConfig(vocab_size=12, n_contexts=6, dim=8, kernel_size=3, n_heads=2,
+                          n_layers=2, max_len=10)
+        model = SequentialRecommender(cfg, seed=0)
+        rng = np.random.default_rng(19)
+        batch = [(rng.integers(0, 12, t), rng.integers(0, 6, t), int(rng.integers(0, 12)))
+                 for t in (3, 7, 5)]
+        seen, stack = set(), [model.training_loss(batch, lam=1e-5)]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                assert node.data.shape[-2:] != (7, 7), node
+                stack.extend(node._parents)
+        assert len(seen) > 50
+
+    def test_returned_weights_are_read_only(self):
+        rng = np.random.default_rng(20)
+        d = 4
+        head = self.make_head(rng, d)
+        pos = Tensor(rng.standard_normal((8, d)))
+        h = Tensor(rng.standard_normal((5, d)), requires_grad=True)
+        out, weights = attn_branch(h, pos, head, n_heads=1)
+        with pytest.raises(ValueError, match="read-only"):
+            weights.data[0, 0] = 0.5
+        assert not weights.requires_grad
 
     def test_too_long_sequence(self):
         rng = np.random.default_rng(10)
