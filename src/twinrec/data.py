@@ -7,14 +7,17 @@ integer arrays. Users and items with fewer than five interactions are
 discarded iteratively until a fixed point, one stable sort orders each
 user's interactions chronologically (file order breaks ties), and the last
 two items per user are held out. A window is a slice of a user's history
-whose first position has PAD_CATEGORY as its previous category.
+whose first position has PAD_CATEGORY as its previous category. Its items
+are a view of the history; its context ids are a view of one read-only
+array per history when it starts at position 0, where that is the true
+previous category, and a copy otherwise.
 """
 
 from __future__ import annotations
 
 import zipfile
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import repeat
 
 import numpy as np
 
@@ -210,50 +213,66 @@ def split_leave_one_out(seq):
     Train items are everything before the second-last; returns None for
     sequences shorter than 3 (the caller should skip them with a warning).
     """
-    if len(seq) < 3:
-        return None
-    return len(seq) - 2, len(seq) - 2, len(seq) - 1
-
-
-def _contexts(seq, lo, hi):
-    """(PAD-previous, true-previous) context triplets of positions lo..hi-1.
-
-    A window's first position sees PAD_CATEGORY as its previous category;
-    position 0 has no other, so its two variants are equal.
-    """
-    cats, hours = seq.cats[lo:hi].tolist(), seq.hours[lo:hi].tolist()
-    prev = seq.cats[lo - 1:hi - 1].tolist() if lo else [PAD_CATEGORY, *cats[:-1]]
-    return list(zip([PAD_CATEGORY] * len(cats), cats, hours)), list(zip(prev, cats, hours))
+    n = len(seq)
+    return (n - 2, n - 2, n - 1) if n >= 3 else None
 
 
 def build_context_vocab(sequences):
     """Number every triplet a training window can produce, 1.. by first registration.
 
     Each training position registers its PAD-previous variant (used when a
-    window starts there) and then its true-previous triplet.
+    window starts there) and then its true-previous triplet. Triplets are
+    numbered as integer keys ``(prev * radix + cur) * 24 + hour`` over all
+    training positions at once; only the distinct keys are decoded.
     """
-    def registered(seq):
-        split = split_leave_one_out(seq)
-        return chain.from_iterable(zip(*_contexts(seq, 0, split[0] if split else 0)))
-    order = dict.fromkeys(chain.from_iterable(map(registered, sequences)))
-    return ContextVocab({triplet: i for i, triplet in enumerate(order, start=1)})
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    if not lengths.sum():
+        return ContextVocab()
+    cats, hours = (np.concatenate([getattr(s, key) for s in sequences]) for key in ("cats", "hours"))
+    bad = (cats < 1) | (hours < 0) | (hours > 23)
+    if bad.any():  # else one triplet's key would be another's
+        user = sequences[np.searchsorted(np.cumsum(lengths), bad.argmax(), side="right")].user
+        raise ValueError(f"user {user!r} needs categories from 1, hours 0..23 for its contexts")
+    radix = int(cats.max()) + 1
+    if radix ** 2 * 24 > np.iinfo(np.int64).max:
+        raise ValueError(f"category {radix - 1} is too large for an int64 context key")
+    pos = np.arange(len(cats)) - np.repeat(np.cumsum(lengths) - lengths, lengths)  # in its history
+    n_train = np.maximum(lengths - 2, 0)  # split_leave_one_out's train length, 0 for None
+    rows = np.flatnonzero(pos < np.repeat(n_train, lengths))
+    cur = cats[rows] * 24 + hours[rows]
+    keys = np.empty(2 * len(rows), dtype=np.int64)
+    keys[0::2] = PAD_CATEGORY * radix * 24 + cur
+    keys[1::2] = np.where(pos[rows] > 0, cats[rows - 1], PAD_CATEGORY) * radix * 24 + cur
+    distinct, first = np.unique(keys, return_index=True)
+    keys = distinct[np.argsort(first)]
+    triplets = zip(*(a.tolist() for a in (keys // 24 // radix, keys // 24 % radix, keys % 24)))
+    return ContextVocab(dict(zip(triplets, range(1, len(keys) + 1))))
 
 
 def _windows(seq, ctx_vocab, max_len, ends):
     """(items, contexts, target) for the window before each position in range ``ends``.
 
-    Items are views of the history; contexts are copies, each window's first position taking its
-    PAD-previous context. Each position's context in the windows' span is looked up once.
+    Items are views of the history. The true-previous context ids of the windows' span are
+    looked up once, into one read-only array. A window that starts at position 0, where the
+    PAD-previous triplet is the true one, takes a view of that array; a later window takes a
+    copy whose first id is its start's PAD-previous context.
     """
     lo, hi = max(0, ends.start - max_len), ends.stop - 1
-    pad, true = _contexts(seq, lo, hi)
-    true = np.fromiter(map(ctx_vocab.lookup, true), dtype=np.int64, count=len(true))
-    out = []
-    for end, target in zip(ends, seq.items[ends.start:ends.stop].tolist()):
-        start = max(0, end - max_len)
-        ctxs = true[start - lo:end - lo].copy()
-        ctxs[0] = ctx_vocab.lookup(pad[start - lo])
-        out.append((seq.items[start:end], ctxs, target))
+    cats, hours = seq.cats[lo:hi].tolist(), seq.hours[lo:hi].tolist()
+    prev = seq.cats[lo - 1:hi - 1].tolist() if lo else [PAD_CATEGORY, *cats[:-1]]
+    true = ctx_vocab.lookup(prev, cats, hours)
+    true.flags.writeable = False
+    targets = seq.items[ends.start:ends.stop].tolist()
+    n_early = max(0, min(ends.stop, max_len + 1) - ends.start)  # windows that start at 0 (lo is 0)
+    out = [(seq.items[:end], true[:end], target) for end, target in zip(ends[:n_early], targets)]
+    late = ends[n_early:]
+    if late:
+        starts = slice(late.start - max_len - lo, late.stop - max_len - lo)
+        pad = ctx_vocab.lookup(repeat(PAD_CATEGORY), cats[starts], hours[starts]).tolist()
+        for end, target, first in zip(late, targets[n_early:], pad):
+            ctxs = true[end - max_len - lo:end - lo].copy()
+            ctxs[0] = first
+            out.append((seq.items[end - max_len:end], ctxs, target))
     return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -64,9 +65,11 @@ class ContextVocab:
     """
     index: dict = field(default_factory=dict)
 
-    def lookup(self, triplet):
+    def lookup(self, prevs, cats, hours):
+        """int64 ids of the triplets ``(prevs[i], cats[i], hours[i])``, one per ``cats`` entry."""
         # Integer scalars of any type hash and compare as the stored ints do.
-        return self.index.get(tuple(triplet), UNK_CONTEXT)
+        return np.fromiter(map(self.index.get, zip(prevs, cats, hours), repeat(UNK_CONTEXT)),
+                           dtype=np.int64, count=len(cats))
 
     @property
     def size(self):

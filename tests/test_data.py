@@ -1,3 +1,4 @@
+import hashlib
 import os
 import tempfile
 
@@ -339,6 +340,60 @@ class TestSamples:
             for split, end in (("val", len(seq) - 2), ("test", len(seq) - 1)):
                 got = eval_input(seq, vocab, max_len, split)
                 assert_same_window(got, naive_window(seq, vocab, max(0, end - max_len), end))
+
+    @pytest.mark.parametrize("n", [300, 60])
+    def test_windows_share_one_context_array_per_history(self, n):
+        max_len, rng = 200, np.random.default_rng(n)
+        seq = user_seq(np.arange(n), rng.integers(1, 4, n), rng.integers(0, 24, n))
+        vocab = build_context_vocab([seq])
+        windows = generate_training_samples(seq, vocab, max_len)
+        n_late = max(0, len(windows) - max_len)
+        early, late = windows[:len(windows) - n_late], windows[len(windows) - n_late:]
+        shared = early[0][1].base
+        assert shared is not None and shared.base is None and len(shared) == n - 3
+        for items, ctxs, _ in early:
+            assert items[0] == 0 and ctxs.base is shared and not ctxs.flags.writeable
+        for items, ctxs, _ in late:
+            start = items[0]
+            assert start > 0 and ctxs.base is None and ctxs.flags.writeable and len(ctxs) == max_len
+            assert ctxs[0] == vocab.index[(PAD_CATEGORY, seq.cats[start], seq.hours[start])]
+        bases = {id(b): b for b in (c if c.base is None else c.base for _, c, _ in windows)}
+        # 300 long: one shared array of 297 ids and 97 late copies of 200, 157,576 bytes
+        assert sum(b.nbytes for b in bases.values()) <= (len(windows) + n_late * max_len) * 8
+
+    def test_prepared_data_golden_hash(self):
+        """Every window, every eval_input and the context vocabulary of one seeded log."""
+        rng = np.random.default_rng(26)
+        rows = [(f"u{u}", f"i{rng.integers(25)}", f"c{rng.integers(4)}", int(rng.integers(864000)))
+                for u in range(12) for _ in range(rng.integers(5, 40))]
+        max_len = 8
+        _, seqs = build_sequences(parse(rows))
+        assert min(map(len, seqs)) < max_len < max(map(len, seqs)) - 3
+        vocab = build_context_vocab(seqs)
+        digest = hashlib.sha256(repr(list(vocab.index.items())).encode())
+        windows = [w for s in seqs for w in generate_training_samples(s, vocab, max_len)]
+        windows += [eval_input(s, vocab, max_len, split) for s in seqs for split in ("val", "test")]
+        for items, ctxs, target in windows:
+            for a in (items, ctxs):
+                digest.update(f"{a.dtype.str}{a.shape}".encode())
+                digest.update(a.tobytes())
+            digest.update(repr(target).encode())
+        # recorded when every window's contexts were still a copy
+        assert digest.hexdigest() == "6e6c65bc811c8ff9e6f5a10bf050c0e780bb7b72ff44c0192a426f084f13991d"
+
+    @pytest.mark.parametrize("cats,hours,message", [
+        ([1, 0, 2, 1], [3] * 4, "user 'x' needs categories from 1, hours 0..23"),
+        ([1] * 4, [3, 30, 3, 3], "user 'x' needs categories from 1, hours 0..23"),
+        ([1] * 4, [3, -1, 3, 3], "user 'x' needs categories from 1, hours 0..23"),
+        ([1, 2**31, 1, 1], [3] * 4, "category 2147483648 is too large"),
+    ], ids=["category_0", "hour_30", "hour_-1", "category_2**31"])
+    def test_aliasing_contexts_rejected(self, cats, hours, message):
+        # A category 0 would make a true-previous triplet the PAD-previous one, an hour
+        # outside 0..23 one triplet another, and a huge category an int64 key wrap.
+        seqs = [user_seq([0, 1, 2, 3], [1, 2, 1, 2], [0, 1, 2, 3], user=user) for user in "ab"]
+        seqs[1:1] = [user_seq([0, 1, 2, 3], cats, hours, user=user) for user in ("x", "y")]
+        with pytest.raises(ValueError, match=message):
+            build_context_vocab(seqs)
 
 
 class TestEvalInput:

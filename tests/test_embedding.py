@@ -81,8 +81,8 @@ def write_lines(path, lines):
 class TestContextVocab:
     def test_unseen_maps_to_unk(self):
         vocab = ContextVocab({(0, 1, 12): 1})
-        assert vocab.lookup((0, 1, 12)) == 1
-        assert vocab.lookup((9, 9, 9)) == UNK_CONTEXT
+        ids = vocab.lookup([0, 9], np.array([1, 9]), [12, 9])
+        assert ids.dtype == np.int64 and ids.tolist() == [1, UNK_CONTEXT]
 
     def test_hour_range_checked(self, tmp_path):
         for hour in (24, -1):
