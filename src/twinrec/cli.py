@@ -5,6 +5,10 @@ export-attention, gradcheck. All take ``--config FILE`` plus repeatable
 ``--set key=value`` overrides; the ``TWINREC_WORKSPACE`` environment
 variable overrides the output directory. Every artifact embeds the
 resolved config hash.
+
+``prepare-data`` writes the workspace as three column archives,
+``sequences.npz``, ``item_vocab.npz`` and ``context_vocab.npz``; a command
+that finds one missing or malformed stops with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -34,25 +38,25 @@ def _workspace(cfg):
 
 def _load_workspace(cfg):
     ws = _workspace(cfg)
-    for name in ("sequences.npz", "item_vocab.tsv", "context_vocab.tsv"):
+    for name in ("sequences.npz", "item_vocab.npz", "context_vocab.npz"):
         if not (ws / name).exists():
             raise FileNotFoundError(f"{ws / name} missing; run prepare-data first")
     sequences = datamod.load_sequences(ws / "sequences.npz")
-    vocab = datamod.ItemVocab.load(ws / "item_vocab.tsv")
+    vocab = datamod.ItemVocab.load(ws / "item_vocab.npz")
     items, cats = (np.concatenate([getattr(s, key) for s in sequences]) for key in ("items", "cats"))
     unlisted = (items >= vocab.n_items) | (cats > vocab.n_categories)
     if unlisted.any():
         owner = np.searchsorted(np.cumsum([len(s) for s in sequences]), unlisted.argmax(), "right")
         raise ValueError(f"{ws / 'sequences.npz'}: user {sequences[owner].user!r} has an item or "
-                         f"category that {ws / 'item_vocab.tsv'} does not list")
-    ctx_vocab = ContextVocab.load(ws / "context_vocab.tsv")
+                         f"category that {ws / 'item_vocab.npz'} does not list")
+    ctx_vocab = ContextVocab.load(ws / "context_vocab.npz")
     return ws, sequences, vocab, ctx_vocab
 
 
 def _vocab_digest(ws):
     """SHA-256 over the SHA-256 digests of the workspace's item and context vocabularies."""
     return hashlib.sha256(b"".join(hashlib.sha256((ws / name).read_bytes()).digest()
-                                   for name in ("item_vocab.tsv", "context_vocab.tsv"))).hexdigest()
+                                   for name in ("item_vocab.npz", "context_vocab.npz"))).hexdigest()
 
 
 def _load_checkpoint(ws, vocab, ctx_vocab):
@@ -89,8 +93,8 @@ def cmd_prepare_data(cfg):
     ws = _workspace(cfg)
     ws.mkdir(parents=True, exist_ok=True)
     datamod.save_sequences(sequences, ws / "sequences.npz")
-    vocab.save(ws / "item_vocab.tsv")
-    ctx_vocab.save(ws / "context_vocab.tsv")
+    vocab.save(ws / "item_vocab.npz")
+    ctx_vocab.save(ws / "context_vocab.npz")
     stats = datamod.dataset_stats(vocab, sequences)
     stats["n_context_tuples"] = ctx_vocab.size
     stats["n_malformed_lines"] = n_bad

@@ -1,9 +1,9 @@
 """Flat key=value run configuration with strict key checking.
 
-A config file holds one ``key = value`` pair per line (``#`` comments
-allowed); unknown keys are rejected. Individual keys can be overridden on
-the command line. The resolved config is hashed and echoed into every
-output artifact for provenance.
+A config file holds one ``key = value`` pair per line; a ``#`` at the start
+of a line or after whitespace starts a comment. Unknown keys are rejected.
+Individual keys can be overridden on the command line. The resolved config
+is hashed and echoed into every output artifact for provenance.
 
 Every field of ``ModelConfig`` except the item and context counts, and
 every field of ``TrainConfig``, is one config key; the dataclasses own each
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import re
 
 from .model import ModelConfig
 from .training import TrainConfig
@@ -40,6 +41,11 @@ SCHEMA.update({
     "vocab_size": (int, 0),     # 0 = derive from prepared workspace
     "contexts": (int, 0),       # 0 = derive from prepared workspace
 })
+
+
+# A comment starts at a "#" that opens its line or follows whitespace, so a
+# value such as ``workspace = out#2`` keeps its "#".
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 class ConfigError(ValueError):
@@ -69,7 +75,7 @@ def load_config(path=None, overrides=()):
     if path is not None:
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
-                line = line.split("#", 1)[0].strip()
+                line = _COMMENT.split(line, 1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:

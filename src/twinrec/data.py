@@ -11,17 +11,19 @@ whose first position has PAD_CATEGORY as its previous category. Its items
 are a view of the history; its context ids are a view of one read-only
 array per history when it starts at position 0, where that is the true
 previous category, and a copy otherwise.
+
+The sequences and the item vocabulary are stored as ``.npz`` column archives
+(``atomic.read_columns``) whose string columns drop trailing NULs.
 """
 
 from __future__ import annotations
 
-import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_columns
 from .embedding import ContextVocab, PAD_CATEGORY
 
 MIN_INTERACTIONS = 5
@@ -44,57 +46,38 @@ class Log:
 
 @dataclass
 class ItemVocab:
-    """Item and category indexing by first appearance (deterministic)."""
-    item_index: dict = field(default_factory=dict)      # raw item -> 0-based global index
-    category_index: dict = field(default_factory=dict)  # raw category -> 1-based index
-    item_category: list = field(default_factory=list)   # global index -> category index
+    """Raw item and category ids by index (deterministic)."""
+    items: np.ndarray          # (n_items,) str: raw id of global item index k
+    categories: np.ndarray     # (n_categories,) str: raw name of category index k at k - 1
+    item_category: np.ndarray  # (n_items,) int64: each item's category index, from 1
 
     @property
     def n_items(self):
-        return len(self.item_index)
+        return len(self.items)
 
     @property
     def n_categories(self):
-        return len(self.category_index)
+        return len(self.categories)
 
     def save(self, path):
-        """One row per item: raw item, index, category index, raw category."""
-        inverse = {v: k for k, v in self.item_index.items()}
-        names = {v: k for k, v in self.category_index.items()}
-        with atomic_write(path) as f:
-            for idx in range(len(inverse)):
-                cat = self.item_category[idx]
-                f.write(f"{inverse[idx]}\t{idx}\t{cat}\t{names[cat]}\n")
+        """An uncompressed ``.npz`` archive of the three columns."""
+        with atomic_write(path, binary=True) as f:
+            np.savez(f, **vars(self))
 
     @classmethod
     def load(cls, path):
-        """Read a file ``save`` wrote: distinct items numbered 0.. in file order, and one
-        number per category name, new names numbered 1.. in file order."""
-        vocab = cls()
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) != 4:
-                    raise ValueError(f"{path}: line {lineno} has {len(fields)} fields, "
-                                     f"expected 4; run prepare-data again")
-                raw, idx, cat, name = fields
-                try:
-                    idx, cat = int(idx), int(cat)
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno} has a non-integer index or "
-                                     f"category; run prepare-data again") from None
-                if (idx != vocab.n_items or raw in vocab.item_index
-                        or cat != vocab.category_index.get(name, vocab.n_categories + 1)):
-                    raise ValueError(f"{path}: line {lineno} gives item {raw!r} index {idx} and "
-                                     f"category {cat} ({name!r}); indices must number distinct "
-                                     f"items 0.. and categories 1.. in file order, one number "
-                                     f"per category; run prepare-data again")
-                vocab.item_index[raw] = idx
-                vocab.item_category.append(cat)
-                vocab.category_index[name] = cat
-        return vocab
+        """Read an archive ``save`` wrote, checking every column at once."""
+        dtypes = {"items": str, "categories": str, "item_category": np.int64}
+        return cls(*read_columns(path, "an item vocabulary", dtypes, _is_item_vocab))
+
+
+def _is_item_vocab(items, categories, item_category):
+    """Distinct items and category names, one category per item, and categories numbered
+    1.. by first appearance among the items, each name used."""
+    _, first = np.unique(item_category, return_index=True)
+    return (len(items) == len(item_category) == len(np.unique(items))
+            and len(categories) == len(np.unique(categories))
+            and np.array_equal(item_category[np.sort(first)], np.arange(1, len(categories) + 1)))
 
 
 @dataclass
@@ -118,9 +101,9 @@ def ingest(path):
     """Parse the interaction log; returns (Log, n_malformed).
 
     Malformed lines are counted and skipped; more than 1% malformed lines
-    aborts with samples of the offenders. A user id may not end in NUL: the
-    sequence store keeps ids in a fixed-width string column, which drops
-    trailing NULs.
+    aborts with samples of the offenders. A line may not hold a NUL: the
+    workspace archives keep user, item and category ids in fixed-width
+    string columns, which drop trailing NULs.
     """
     users, items, cats = index = ({}, {}, {})
     codes, stamps = [], []
@@ -135,8 +118,7 @@ def ingest(path):
                 continue
             n_lines += 1
             parts = line.split("\t")
-            if (len(parts) != 4 or not all(p.strip() for p in parts[:3])
-                    or parts[0].endswith("\0")):
+            if "\0" in line or len(parts) != 4 or not all(p.strip() for p in parts[:3]):
                 bad.append((lineno, line))
                 continue
             user, item, category, ts = parts
@@ -200,9 +182,8 @@ def build_sequences(log):
     first = rows[item_first]  # each item's first row, in item order
     cat_of, cat_item = _first_seen(cats[first])
     item_cat = cat_of + 1  # 0 = PAD
-    vocab = ItemVocab({log.names[1][c]: k for k, c in enumerate(items[first].tolist())},
-                      {log.names[2][c]: k for k, c in enumerate(cats[first[cat_item]].tolist(), 1)},
-                      item_cat.tolist())
+    vocab = ItemVocab(np.array(log.names[1])[items[first]],
+                      np.array(log.names[2])[cats[first[cat_item]]], item_cat)
     names = [log.names[0][u] for u in users[rows[offsets[:-1]]].tolist()]
     return vocab, _cut(names, offsets, item_of, item_cat[item_of], log.timestamps[rows] // 3600 % 24)
 
@@ -283,7 +264,9 @@ def generate_training_samples(seq, ctx_vocab, max_len):
 
 
 def eval_input(seq, ctx_vocab, max_len, split):
-    """(input items, input contexts, held-out target) for val or test."""
+    """(input items, input contexts, held-out target) for split "val" or "test"."""
+    if split not in ("val", "test"):
+        raise ValueError(f"split must be 'val' or 'test', got {split!r}")
     marks = split_leave_one_out(seq)
     if marks is None:
         return None
@@ -318,17 +301,12 @@ def save_sequences(sequences, path):
 
 def load_sequences(path):
     """Read an archive ``save_sequences`` wrote, checking every column at once."""
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            columns = [archive[k] for k in ("users", "offsets", "items", "cats", "hours")]
-        users, offsets, items, cats, hours = columns
-        if (users.dtype.kind != "U" or any(c.ndim != 1 for c in columns)
-                or any(c.dtype != np.int64 for c in columns[1:]) or len(offsets) != len(users) + 1
-                or offsets[0] != 0 or (np.diff(offsets) < 0).any()
-                or not offsets[-1] == len(items) == len(cats) == len(hours)):
-            raise ValueError("columns of the wrong type or length")
-    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile):
-        raise ValueError(f"{path}: not a sequence archive; run prepare-data again") from None
+    users, offsets, items, cats, hours = read_columns(
+        path, "a sequence archive",
+        {"users": str, **dict.fromkeys(("offsets", "items", "cats", "hours"), np.int64)},
+        lambda users, offsets, items, cats, hours: (
+            len(offsets) == len(users) + 1 and offsets[0] == 0 and (np.diff(offsets) >= 0).all()
+            and offsets[-1] == len(items) == len(cats) == len(hours)))
     bad = (items < 0) | (cats < 1) | (hours < 0) | (hours > 23)
     if bad.any():
         user = str(users[np.searchsorted(offsets, bad.argmax(), side="right") - 1])

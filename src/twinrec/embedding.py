@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_columns
 from .autodiff import Tensor, concat
 
 # Category index 0 is reserved for the padded previous-category at the
@@ -25,6 +25,8 @@ from .autodiff import Tensor, concat
 PAD_CATEGORY = 0
 # Context-table row 0 is reserved for tuples unseen during training.
 UNK_CONTEXT = 0
+# The context vocabulary archive's columns: a triplet per row, row k holding id k + 1.
+_CONTEXT_COLUMNS = ("prevs", "cats", "hours")
 
 
 def decompose_index(g, sizes):
@@ -77,31 +79,23 @@ class ContextVocab:
         return len(self.index) + 1
 
     def save(self, path):
-        with atomic_write(path) as f:
-            for (prev, cur, hour), idx in sorted(self.index.items(), key=lambda kv: kv[1]):
-                f.write(f"{prev}\t{cur}\t{hour}\t{idx}\n")
+        """An uncompressed ``.npz`` archive of the triplets as three int64 columns, in id order."""
+        triplets = np.array(sorted(self.index, key=self.index.get), dtype=np.int64).reshape(-1, 3)
+        with atomic_write(path, binary=True) as f:
+            np.savez(f, **dict(zip(_CONTEXT_COLUMNS, triplets.T)))
 
     @classmethod
     def load(cls, path):
-        """Read a file ``save`` wrote: ids 1..n in file order, hours in 0..23."""
-        vocab = cls()
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    prev, cur, hour, idx = map(int, line.rstrip("\n").split("\t"))
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno} is not four integer fields; "
-                                     f"run prepare-data again") from None
-                if not 0 <= hour <= 23:
-                    raise ValueError(f"{path}: line {lineno} has hour {hour} outside 0..23")
-                key = (prev, cur, hour)
-                if idx != len(vocab.index) + 1 or key in vocab.index:
-                    raise ValueError(f"{path}: line {lineno} gives {key} id {idx}; ids must "
-                                     f"number distinct triplets 1.. in file order")
-                vocab.index[key] = idx
-        return vocab
+        """Read an archive ``save`` wrote: distinct triplets, hours in 0..23; row k has id k + 1."""
+        columns = read_columns(path, "a context vocabulary",
+                               dict.fromkeys(_CONTEXT_COLUMNS, np.int64), _is_context_vocab)
+        return cls(dict(zip(zip(*(c.tolist() for c in columns)), count(1))))
+
+
+def _is_context_vocab(prevs, cats, hours):
+    """Equal lengths, hours in 0..23 and distinct triplets."""
+    return (len(prevs) == len(cats) == len(hours) and ((hours >= 0) & (hours <= 23)).all()
+            and len(np.unique(np.stack([prevs, cats, hours], axis=1), axis=0)) == len(hours))
 
 
 @dataclass

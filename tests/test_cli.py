@@ -10,6 +10,7 @@ from twinrec.cli import main
 from twinrec.config import (SCHEMA, ConfigError, config_hash, load_config, model_config,
                             train_config)
 from twinrec.data import load_sequences
+from twinrec.embedding import ContextVocab
 from twinrec.model import SequentialRecommender
 
 
@@ -26,6 +27,15 @@ def make_log(path, n_users=10, n_items=12, length=10):
     path.write_text("\n".join(lines) + "\n")
 
 
+def edit_archive(path, edit):
+    """Rewrite the archive at ``path`` after ``edit`` changes its dict of columns."""
+    with np.load(path) as archive:
+        cols = dict(archive)
+    edit(cols)
+    with open(path, "wb") as f:
+        np.savez(f, **cols)
+
+
 @pytest.fixture
 def workspace(tmp_path, monkeypatch):
     ws = tmp_path / "out"
@@ -34,6 +44,8 @@ def workspace(tmp_path, monkeypatch):
     make_log(log)
     return ws, log
 
+
+WORKSPACE_ARCHIVES = ("sequences.npz", "item_vocab.npz", "context_vocab.npz")
 
 SMALL = ["--set", "dim=8", "--set", "kernel_size=3", "--set", "heads=1",
          "--set", "max_len=10", "--set", "epochs=2", "--set", "batch_size=32",
@@ -50,6 +62,15 @@ class TestConfig:
         path.write_text("dim = 16\nseed = 3  # trailing comment\n")
         cfg = load_config(path, ["dim=32"])
         assert cfg["dim"] == 32 and cfg["seed"] == 3
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # A comment starts at a "#" that opens its line or follows whitespace.
+        path = tmp_path / "run.cfg"
+        path.write_text("# runs\nworkspace = out#2\ndata = runs/#3/log.tsv\t# the log\n"
+                        "seed = 3 #\n#dim = 16\n")
+        cfg = load_config(path)
+        assert (cfg["workspace"], cfg["data"], cfg["seed"]) == ("out#2", "runs/#3/log.tsv", 3)
+        assert cfg["dim"] == 128
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -185,8 +206,8 @@ class TestPipeline:
         stats = json.loads((ws / "dataset_stats.json").read_text())
         assert stats["n_users"] == 10 and stats["n_items"] == 12
         assert (ws / "sequences.npz").exists()
-        assert (ws / "item_vocab.tsv").exists()
-        assert (ws / "context_vocab.tsv").exists()
+        assert (ws / "item_vocab.npz").exists()
+        assert (ws / "context_vocab.npz").exists()
 
         assert main(["train"] + args) == 0
         assert (ws / "checkpoint.bin").exists()
@@ -221,20 +242,19 @@ class TestPipeline:
             assert main(["prepare-data"] + args) == 0
             assert main(["train"] + args) == 0
             assert main(["evaluate"] + args) == 0
-            blobs.append(((ws / "checkpoint.bin").read_bytes(),
-                          (ws / "metrics_test.json").read_bytes(),
-                          (ws / "sequences.npz").read_bytes()))
+            blobs.append([(ws / name).read_bytes() for name in (
+                "checkpoint.bin", "metrics_test.json", *WORKSPACE_ARCHIVES)])
         assert blobs[0] == blobs[1]
 
     def test_prepare_writes_identical_archives(self, workspace, monkeypatch, capsys):
-        # The second run's clock reads three days later: the archive must not record it.
+        # The second run's clock reads three days later: no archive may record it.
         ws, log = workspace
         assert main(["prepare-data", "--set", f"data={log}"]) == 0
-        first = (ws / "sequences.npz").read_bytes()
+        first = [(ws / name).read_bytes() for name in WORKSPACE_ARCHIVES]
         later = time.time() + 3 * 86400
         monkeypatch.setattr(time, "time", lambda: later)
         assert main(["prepare-data", "--set", f"data={log}"]) == 0
-        assert (ws / "sequences.npz").read_bytes() == first
+        assert [(ws / name).read_bytes() for name in WORKSPACE_ARCHIVES] == first
 
     def test_json_only_workspace_is_one_error_line(self, workspace, capsys):
         ws, log = workspace
@@ -246,6 +266,19 @@ class TestPipeline:
         assert main(["train", "--set", f"data={log}"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {ws / 'sequences.npz'} missing; run prepare-data first"]
+
+    def test_tsv_vocab_workspace_is_one_error_line(self, workspace, capsys):
+        # A workspace prepared when the vocabularies were text files.
+        ws, log = workspace
+        assert main(["prepare-data", "--set", f"data={log}"]) == 0
+        for name in ("item_vocab", "context_vocab"):
+            (ws / f"{name}.npz").unlink()
+        (ws / "item_vocab.tsv").write_text("i0\t0\t1\tc0\n")
+        (ws / "context_vocab.tsv").write_text("0\t1\t0\t1\n")
+        capsys.readouterr()
+        assert main(["train", "--set", f"data={log}"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {ws / 'item_vocab.npz'} missing; run prepare-data first"]
 
     @pytest.mark.parametrize("edit", [
         lambda h: h.pop("seed"),
@@ -358,47 +391,52 @@ class TestPipeline:
         assert len(err) == 1 and err[0].startswith("error:") and "last_k" in err[0]
         assert not list(ws.glob("attention_*.csv"))
 
-    @pytest.mark.parametrize("line,message", [
-        ("0\t1", "line 2 is not four integer fields"),
-        ("0\t1\t3\t500", "line 2 gives (0, 1, 3) id 500"),
-    ], ids=["two_fields", "id_500"])
-    def test_bad_context_vocab_is_one_error_line(self, workspace, capsys, line, message):
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.pop("hours"),
+        lambda c: c["hours"].__setitem__(1, 24),
+        lambda c: [c[k].__setitem__(1, c[k][0]) for k in c],
+        lambda c: c.update(hours=c["hours"] * 1.0),
+        lambda c: c.update(cats=c["cats"][:-1]),
+    ], ids=["two_fields", "hour_24", "repeated_triplet", "float_hours", "lengths"])
+    def test_bad_context_vocab_is_one_error_line(self, workspace, capsys, edit):
         ws, log = workspace
         args = SMALL + ["--set", "epochs=1", "--set", f"data={log}"]
         assert main(["prepare-data"] + args) == 0
-        path = ws / "context_vocab.tsv"
-        first = path.read_text().splitlines()[0]
-        path.write_text(f"{first}\n{line}\n")
+        path = ws / "context_vocab.npz"
+        edit_archive(path, edit)
         capsys.readouterr()
         assert main(["train"] + args) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
-        assert str(path) in err[0] and message in err[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: not a context vocabulary; run prepare-data again"]
         assert not (ws / "checkpoint.bin").exists()
 
     @pytest.mark.parametrize("name,edit,where", [
         ("sequences.npz", lambda c: c["items"].__setitem__(c["offsets"][3], 1000000), "'u3'"),
         ("sequences.npz", lambda c: c.pop("hours"), "run prepare-data again"),
         ("sequences.npz", lambda c: c["hours"].__setitem__(c["offsets"][5], 99), "'u5'"),
-        ("item_vocab.tsv", (r"\t0\t", "\t1\t"), "line 1"),
-        ("item_vocab.tsv", (r"\t0\t", "\tzero\t"), "line 1"),
-    ], ids=["item_1e6", "no_hours", "hour_99", "index_1_twice", "index_zero_word"])
+        ("item_vocab.npz", lambda c: c["items"].__setitem__(0, c["items"][1]), "not an item"),
+        ("item_vocab.npz", lambda c: c.update(item_category=c["item_category"].astype(str)),
+         "not an item"),
+        ("item_vocab.npz", lambda c: c["categories"].__setitem__(1, c["categories"][0]),
+         "not an item"),
+        ("item_vocab.npz", lambda c: c["item_category"].__setitem__(0, 0), "not an item"),
+        ("item_vocab.npz", lambda c: c["item_category"].__setitem__(
+            c["item_category"] == 2, 3), "not an item"),
+        ("item_vocab.npz", lambda c: c.update(item_category=c["item_category"][::-1].copy()),
+         "not an item"),
+        ("item_vocab.npz", lambda c: c.update(categories=np.append(c["categories"], "spare")),
+         "not an item"),
+        ("item_vocab.npz", lambda c: c.update(items=c["items"][:-1]), "not an item"),
+    ], ids=["item_1e6", "no_hours", "hour_99", "index_1_twice", "index_zero_word",
+            "repeated_category_name", "category_0", "category_gap", "categories_out_of_order",
+            "unused_category_name", "lengths"])
     def test_bad_workspace_file_is_one_error_line(self, workspace, capsys, name, edit, where):
         ws, log = workspace
         args = SMALL + ["--set", "epochs=1", "--set", f"data={log}"]
         assert main(["prepare-data"] + args) == 0
         assert main(["train"] + args) == 0
         path = ws / name
-        if name.endswith(".npz"):  # edit a column of the archive
-            with np.load(path) as archive:
-                cols = dict(archive)
-            edit(cols)
-            with open(path, "wb") as f:
-                np.savez(f, **cols)
-        else:  # substitute one line of the text file
-            text, n = re.subn(*edit, path.read_text(), count=1)
-            assert n == 1
-            path.write_text(text)
+        edit_archive(path, edit)
         capsys.readouterr()
         assert main(["evaluate"] + args) == 1
         err = capsys.readouterr().err.splitlines()
@@ -427,7 +465,7 @@ class TestPipeline:
         other = log.parent / "other.tsv"
         make_log(other, n_users=30, n_items=30, length=20)
         assert main(["prepare-data"] + SMALL + ["--set", f"data={other}"]) == 0
-        n_contexts = len((ws / "context_vocab.tsv").read_text().splitlines()) + 1
+        n_contexts = ContextVocab.load(ws / "context_vocab.npz").size
         capsys.readouterr()
         assert main([command] + args) == 1
         err = capsys.readouterr().err.splitlines()
@@ -447,7 +485,8 @@ class TestPipeline:
         other.write_text("".join(re.sub(r"\ti(\d+)\t", r"\tx\1\t", line) + "\n"
                                  for line in reversed(log.read_text().splitlines())))
         assert main(["prepare-data"] + SMALL + ["--set", f"data={other}"]) == 0
-        assert (ws / "item_vocab.tsv").read_text().startswith("x3\t0\t")  # i0 was item 0
+        with np.load(ws / "item_vocab.npz") as archive:
+            assert archive["items"][0] == "x3"  # i0 was item 0
         capsys.readouterr()
         assert main([command] + args) == 1
         err = capsys.readouterr().err.splitlines()

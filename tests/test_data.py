@@ -23,6 +23,10 @@ def columns(seq):
     return seq.user, seq.items.tolist(), seq.cats.tolist(), seq.hours.tolist()
 
 
+def vocab_columns(vocab):
+    return vocab.items.tolist(), vocab.categories.tolist(), vocab.item_category.tolist()
+
+
 def write_tsv(path, rows):
     with open(path, "w", encoding="utf-8") as f:
         for row in rows:
@@ -69,7 +73,8 @@ def brute_five_core(rows):
 
 
 def naive_sequences(rows):
-    """Oracle for build_sequences: per-user lists, sorted with Python's sort."""
+    """Oracle for build_sequences: the vocabulary's columns as lists, and per-user lists,
+    sorted with Python's sort."""
     by_user = {}
     for pos, (user, item, category, ts) in enumerate(brute_five_core(rows)):
         by_user.setdefault(user, []).append((ts, pos, item, category))
@@ -85,7 +90,7 @@ def naive_sequences(rows):
             cats.append(item_cat[item])
             hours.append((ts // 3600) % 24)
         out.append((user, items, cats, hours))
-    return item_index, cat_index, out
+    return (list(item_index), list(cat_index), list(item_cat.values())), out
 
 
 def naive_window(seq, ctx_vocab, lo, end):
@@ -154,6 +159,15 @@ class TestIngest:
         log, bad = ingest(path)
         assert bad == 1 and len(log) == 200 and log.names[0] == ["u"]
 
+    def test_item_or_category_holding_nul_is_malformed(self, tmp_path):
+        # The vocabulary archive's string columns would store "a\0" as "a".
+        path = tmp_path / "log.tsv"
+        rows = [("u", f"i{k}", "c", 10) for k in range(300)]
+        write_tsv(path, rows + [("u", "a\0", "c", 10), ("u", "ix", "c\0", 10)])
+        log, bad = ingest(path)
+        assert bad == 2 and len(log) == 300
+        assert log.names[1:] == ([f"i{k}" for k in range(300)], ["c"])
+
     def test_timestamp_beyond_int64_is_malformed(self, tmp_path):
         path = tmp_path / "log.tsv"
         write_tsv(path, [("u", f"i{k}", "c", 10) for k in range(200)] + [("u", "ix", "c", 2**63)])
@@ -197,7 +211,7 @@ class TestBuildSequences:
         rows = dense_log(n_users=1, n_items=5, reps=5)
         vocab, seqs = build_sequences(parse([(*r[:3], 42) for r in rows]))  # all equal timestamps
         raw_order = [r[1] for r in rows]
-        assert [vocab.item_index[raw] for raw in raw_order] == seqs[0].items.tolist()
+        assert [vocab.items.tolist().index(raw) for raw in raw_order] == seqs[0].items.tolist()
 
     def test_cascading_filter_matches_bruteforce(self):
         # dropping the rare item pushes its user below 5 on the next pass
@@ -208,7 +222,7 @@ class TestBuildSequences:
         vocab, seqs = build_sequences(parse(rows + extra))
         survivors = brute_five_core(rows + extra)
         assert sum(len(s) for s in seqs) == len(survivors)
-        assert "rare" not in vocab.item_index
+        assert "rare" not in vocab.items.tolist()
 
     def test_fixed_point_invariant(self):
         rows = dense_log(n_users=4, n_items=8, reps=2)
@@ -230,13 +244,13 @@ class TestBuildSequences:
         log = parse(dense_log())
         v1, s1 = build_sequences(log)
         v2, s2 = build_sequences(log)
-        assert v1.item_index == v2.item_index
+        assert vocab_columns(v1) == vocab_columns(v2)
         assert list(map(columns, s1)) == list(map(columns, s2))
 
     @settings(max_examples=200, deadline=None)
     @given(logs())
     def test_matches_naive_oracle(self, rows):
-        item_index, cat_index, want = naive_sequences(rows)
+        want_vocab, want = naive_sequences(rows)
         if not want:
             with pytest.raises(ValueError):
                 build_sequences(parse(rows))
@@ -244,8 +258,9 @@ class TestBuildSequences:
         vocab, seqs = build_sequences(parse(rows))
         assert list(map(columns, seqs)) == want
         assert all(c.dtype == np.int64 for s in seqs for c in (s.items, s.cats, s.hours))
-        assert vocab.item_index == item_index
-        assert vocab.category_index == cat_index
+        assert vocab_columns(vocab) == want_vocab
+        assert vocab.items.dtype.kind == vocab.categories.dtype.kind == "U"
+        assert vocab.item_category.dtype == np.int64
 
     def test_hour_of_day(self):
         rows = dense_log(n_users=1, n_items=5, reps=5)
@@ -320,7 +335,7 @@ class TestSamples:
     @settings(max_examples=200, deadline=None)
     @given(logs(), st.integers(1, 6))
     def test_windows_match_naive_oracle(self, rows, max_len):
-        if not naive_sequences(rows)[2]:
+        if not naive_sequences(rows)[1]:
             return
         _, seqs = build_sequences(parse(rows))
         vocab = build_context_vocab(seqs)
@@ -405,6 +420,15 @@ class TestEvalInput:
         items, _, target = eval_input(seq, vocab, max_len=10, split="test")
         assert items.tolist() == [10, 11, 12, 13] and target == 14
 
+    @pytest.mark.parametrize("split", ["train", "Val", "TEST", ""])
+    def test_unknown_split_rejected(self, split):
+        # Any split but "val" used to score the test target under another label.
+        seq = user_seq([10, 11, 12, 13, 14], [1] * 5, [0] * 5)
+        vocab = build_context_vocab([seq])
+        for s in (seq, user_seq([10], [1], [0])):
+            with pytest.raises(ValueError, match=f"split must be 'val' or 'test', got '{split}'"):
+                eval_input(s, vocab, max_len=10, split=split)
+
 
 class TestArtifacts:
     def test_sequence_store_roundtrip(self, tmp_path):
@@ -418,8 +442,7 @@ class TestArtifacts:
 
     def test_user_names_round_trip_exactly(self, tmp_path):
         names = ["ü", "日本語", "a\0b", " padded ", "u" * 40]
-        rows = [(user, f"i{i}", "c", 3600 * i) for user in names for i in range(5)]
-        _, seqs = build_sequences(parse(rows))
+        seqs = [user_seq([0, 1, 2], [1, 1, 1], [0, 0, 0], user=user) for user in names]
         save_sequences(seqs, tmp_path / "sequences.npz")
         assert [s.user for s in load_sequences(tmp_path / "sequences.npz")] == names
 
@@ -458,51 +481,79 @@ class TestArtifacts:
 
     def test_item_vocab_roundtrip(self, tmp_path):
         vocab, _ = build_sequences(parse(dense_log()))
-        path = tmp_path / "items.tsv"
+        path = tmp_path / "items.npz"
         vocab.save(path)
         loaded = ItemVocab.load(path)
-        assert loaded.item_index == vocab.item_index
-        assert loaded.item_category == vocab.item_category
-        assert loaded.category_index == vocab.category_index
+        assert vocab_columns(loaded) == vocab_columns(vocab)
+        assert loaded.items.dtype.kind == loaded.categories.dtype.kind == "U"
+        assert loaded.item_category.dtype == np.int64
 
     def test_only_items_categories_are_numbered(self, tmp_path):
         # Item a is first seen under X, so Y is no item's category.
         rows = [(f"u{u}", item, cat, 10 * u + k) for u in range(5) for k, (item, cat)
                 in enumerate([("a", "X"), ("a", "Y"), ("b", "Z"), ("b", "Z"), ("c", "Z")])]
         vocab, seqs = build_sequences(parse(rows))
-        assert vocab.category_index == {"X": 1, "Z": 2}
+        assert vocab.categories.tolist() == ["X", "Z"]
         assert {c for s in seqs for c in s.cats} == {1, 2}
-        vocab.save(tmp_path / "items.tsv")
-        loaded = ItemVocab.load(tmp_path / "items.tsv")
+        vocab.save(tmp_path / "items.npz")
+        loaded = ItemVocab.load(tmp_path / "items.npz")
         assert loaded.n_categories == dataset_stats(vocab, seqs)["n_categories"] == 2
 
     def test_item_vocab_keeps_category_names(self, tmp_path):
-        vocab = ItemVocab(item_index={"a": 0}, category_index={"books": 1}, item_category=[1])
-        vocab.save(tmp_path / "items.tsv")
-        assert ItemVocab.load(tmp_path / "items.tsv").category_index == {"books": 1}
+        vocab = ItemVocab(np.array(["a"]), np.array(["books"]), np.array([1]))
+        vocab.save(tmp_path / "items.npz")
+        assert ItemVocab.load(tmp_path / "items.npz").categories.tolist() == ["books"]
 
     def test_item_vocab_without_category_names_rejected(self, tmp_path):
-        path = tmp_path / "items.tsv"
-        path.write_text("a\t0\t1\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="line 1"):
+        path = tmp_path / "items.npz"
+        np.savez(path, items=np.array(["a"]), item_category=np.array([1]))
+        with pytest.raises(ValueError, match="not an item vocabulary") as info:
             ItemVocab.load(path)
+        assert str(path) in str(info.value)
 
-    @pytest.mark.parametrize("text,message", [
-        ("a\t0\t1\tx\nb\t2\t1\tx\n", "line 2 gives item 'b' index 2"),
-        ("a\t1\t1\tx\nb\t0\t1\tx\n", "line 1 gives item 'a' index 1"),
-        ("a\t0\t0\tx\n", "line 1 gives item 'a' index 0 and category 0"),
-        ("a\t0\t1\tx\na\t1\t1\tx\n", "line 2 gives item 'a' index 1"),
-        ("a\t0\tone\tx\n", "line 1 has a non-integer"),
-        ("a\t0\t2\tx\n", "line 1 gives item 'a' index 0 and category 2"),
-        ("a\t0\t1\tX\nb\t1\t1\tY\n", "line 2 gives item 'b' index 1 and category 1"),
-        ("a\t0\t1\tX\nb\t1\t2\tX\n", "line 2 gives item 'b' index 1 and category 2"),
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.update(item_category=c["item_category"][:-1]),
+        lambda c: c.update(item_category=np.array([2, 1, 2])),
+        lambda c: c["item_category"].__setitem__(0, 0),
+        lambda c: c["items"].__setitem__(2, "a"),
+        lambda c: c.update(item_category=c["item_category"].astype(str)),
+        lambda c: c.update(categories=np.array(["x", "y", "z"]), item_category=np.array([1, 3, 1])),
+        lambda c: c.update(item_category=np.array([1, 1, 1])),
+        lambda c: c.update(categories=np.array(["x", "x"])),
+        lambda c: c.update(items=np.arange(3)),
+        lambda c: c.update(extra=np.arange(3)),
+        lambda c: c.update(items=c["items"].reshape(3, 1)),
     ], ids=["gap", "out_of_order", "category_0", "repeated_item", "word_category",
-            "category_gap", "two_names_one_number", "one_name_two_numbers"])
-    def test_malformed_item_vocab_rejected(self, tmp_path, text, message):
-        path = tmp_path / "items.tsv"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(ValueError, match=message) as info:
+            "category_gap", "two_names_one_number", "one_name_two_numbers", "int_items",
+            "extra_column", "2d_items"])
+    def test_malformed_item_vocab_rejected(self, tmp_path, edit):
+        # Items a, b, c in categories x, y, x: each edit breaks one rule of the columns.
+        cols = {"items": np.array(["a", "b", "c"]), "categories": np.array(["x", "y"]),
+                "item_category": np.array([1, 2, 1])}
+        path = tmp_path / "items.npz"
+        ItemVocab(**cols).save(path)
+        ItemVocab.load(path)
+        edit(cols)
+        np.savez(path, **cols)
+        with pytest.raises(ValueError, match="not an item vocabulary; run prepare-data") as info:
             ItemVocab.load(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("content", [b"a\t0\t1\tx\n", b"", b"PK\x03\x04"],
+                             ids=["text", "empty", "truncated_zip"])
+    def test_item_vocab_that_is_not_an_archive_rejected(self, tmp_path, content):
+        path = tmp_path / "items.npz"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="not an item vocabulary") as info:
+            ItemVocab.load(path)
+        assert str(path) in str(info.value)
+
+    def test_npy_file_is_not_a_sequence_archive(self, tmp_path):
+        path = tmp_path / "sequences.npz"
+        with open(path, "wb") as f:
+            np.save(f, np.arange(3))
+        with pytest.raises(ValueError, match="not a sequence archive") as info:
+            load_sequences(path)
         assert str(path) in str(info.value)
 
     def test_failed_save_keeps_old_file(self, tmp_path):

@@ -73,8 +73,8 @@ class TestLookup:
         assert len(seen) == 21
 
 
-def write_lines(path, lines):
-    path.write_text("".join(f"{line}\n" for line in lines))
+def write_columns(path, **columns):
+    np.savez(path, **columns)
     return path
 
 
@@ -86,31 +86,50 @@ class TestContextVocab:
 
     def test_hour_range_checked(self, tmp_path):
         for hour in (24, -1):
-            path = write_lines(tmp_path / "ctx.tsv", ["0\t1\t3\t1", f"0\t1\t{hour}\t2"])
-            with pytest.raises(ValueError, match=f"ctx.tsv: line 2 has hour {hour} outside"):
+            path = write_columns(tmp_path / "ctx.npz", prevs=np.array([0, 0]),
+                                 cats=np.array([1, 1]), hours=np.array([3, hour]))
+            with pytest.raises(ValueError, match="ctx.npz: not a context vocabulary"):
                 ContextVocab.load(path)
 
-    def test_roundtrip(self, tmp_path):
-        vocab = ContextVocab({(0, 1, 3): 1, (1, 2, 5): 2, (2, 2, 23): 3})
-        path = tmp_path / "ctx.tsv"
+    @pytest.mark.parametrize("vocab", [{(0, 1, 3): 1, (1, 2, 5): 2, (2, 2, 23): 3},
+                                       {(1, 2, 5): 2, (0, 1, 3): 1}, {}],
+                             ids=["three", "ids_out_of_insertion_order", "empty"])
+    def test_roundtrip(self, tmp_path, vocab):
+        vocab = ContextVocab(vocab)
+        path = tmp_path / "ctx.npz"
         vocab.save(path)
+        with np.load(path) as archive:
+            assert sorted(archive.files) == ["cats", "hours", "prevs"]
+            assert all(archive[k].dtype == np.int64 for k in archive.files)
         loaded = ContextVocab.load(path)
         assert loaded.index == vocab.index
+        assert list(loaded.index.values()) == list(range(1, len(vocab.index) + 1))
         assert loaded.size == vocab.size
 
-    @pytest.mark.parametrize("line", ["0\t1", "0\t1\t3\t2\t9", "0\tx\t3\t2", "0\t1\t3.5\t2"],
-                             ids=["two", "five", "text", "float"])
-    def test_load_requires_four_integer_fields(self, tmp_path, line):
-        path = write_lines(tmp_path / "ctx.tsv", ["0\t1\t3\t1", line])
-        with pytest.raises(ValueError, match="ctx.tsv: line 2 is not four integer fields"):
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.pop("hours"),
+        lambda c: c.update(ids=np.array([1, 2])),
+        lambda c: c.update(cats=c["cats"].astype(str)),
+        lambda c: c.update(hours=c["hours"] + 0.5),
+        lambda c: c.update(hours=c["hours"].astype(np.int32)),
+        lambda c: c.update(prevs=c["prevs"][:1]),
+        lambda c: c.update(prevs=c["prevs"].reshape(2, 1)),
+    ], ids=["two", "four", "text", "float", "int32", "lengths", "2d"])
+    def test_load_requires_three_int64_columns(self, tmp_path, edit):
+        cols = {"prevs": np.array([0, 1]), "cats": np.array([1, 2]), "hours": np.array([3, 5])}
+        path = write_columns(tmp_path / "ctx.npz", **cols)
+        assert len(ContextVocab.load(path).index) == 2
+        edit(cols)
+        write_columns(path, **cols)
+        with pytest.raises(ValueError, match="ctx.npz: not a context vocabulary; run prepare-data"):
             ContextVocab.load(path)
 
-    @pytest.mark.parametrize("second", ["0\t2\t3\t500", "0\t2\t3\t1", "0\t2\t3\t3",
-                                        "0\t1\t3\t2"],
-                             ids=["id_500", "repeated_id", "skipped_id", "repeated_triplet"])
+    @pytest.mark.parametrize("second", [(0, 1, 3)], ids=["repeated_triplet"])
     def test_load_requires_ids_one_to_n_of_distinct_triplets(self, tmp_path, second):
-        path = write_lines(tmp_path / "ctx.tsv", ["0\t1\t3\t1", second])
-        with pytest.raises(ValueError, match="ctx.tsv: line 2 gives"):
+        # Row k holds the triplet of id k + 1, so only a repeated triplet can break the ids.
+        path = write_columns(tmp_path / "ctx.npz", **dict(zip(("prevs", "cats", "hours"),
+                                                              np.array([(0, 1, 3), second]).T)))
+        with pytest.raises(ValueError, match="ctx.npz: not a context vocabulary"):
             ContextVocab.load(path)
 
 
