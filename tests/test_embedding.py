@@ -91,10 +91,13 @@ class TestContextVocab:
             with pytest.raises(ValueError, match="ctx.npz: not a context vocabulary"):
                 ContextVocab.load(path)
 
-    @pytest.mark.parametrize("vocab", [{(0, 1, 3): 1, (1, 2, 5): 2, (2, 2, 23): 3},
-                                       {(1, 2, 5): 2, (0, 1, 3): 1}, {}],
-                             ids=["three", "ids_out_of_insertion_order", "empty"])
-    def test_roundtrip(self, tmp_path, vocab):
+    def test_roundtrip(self, tmp_path):
+        self.test_roundtrip_keeps_columns_and_ids(
+            tmp_path, {(0, 1, 3): 1, (1, 2, 5): 2, (2, 2, 23): 3})
+
+    @pytest.mark.parametrize("vocab", [{(1, 2, 5): 2, (0, 1, 3): 1}, {}],
+                             ids=["ids_out_of_insertion_order", "empty"])
+    def test_roundtrip_keeps_columns_and_ids(self, tmp_path, vocab):
         vocab = ContextVocab(vocab)
         path = tmp_path / "ctx.npz"
         vocab.save(path)
