@@ -1,10 +1,16 @@
 """Command-line entry point for reproducible experiments.
 
 Subcommands: prepare-data, train, evaluate, ablate, count-params,
-export-attention, gradcheck. All take ``--config FILE`` plus repeatable
+export-attention, gradcheck. ``build_parser`` declares each one together
+with its handler, a ``cmd_*(cfg, args)`` function, and ``main`` runs the
+handler it parsed. All take ``--config FILE`` plus repeatable
 ``--set key=value`` overrides; the ``TWINREC_WORKSPACE`` environment
 variable overrides the output directory. Every artifact embeds the
 resolved config hash.
+
+A handler returns the exit code (gradcheck's is 1 when the check fails).
+Bad input, a bad workspace or a diverged run ends the command with one
+``error:`` line and exit code 1; a usage error exits 2.
 
 ``prepare-data`` writes the workspace as three column archives,
 ``sequences.npz``, ``item_vocab.npz`` and ``context_vocab.npz``; a command
@@ -80,12 +86,10 @@ def _all_samples(sequences, ctx_vocab, max_len):
     return samples
 
 
-def cmd_prepare_data(cfg):
+def cmd_prepare_data(cfg, args):
     if not cfg["data"]:
         raise ConfigError("prepare-data requires the 'data' config key")
     log, n_bad = datamod.ingest(cfg["data"])
-    if not len(log):
-        print(f"warning: {cfg['data']} contains no interactions", file=sys.stderr)
     if n_bad:
         print(f"warning: skipped {n_bad} malformed lines in {cfg['data']}", file=sys.stderr)
     vocab, sequences = datamod.build_sequences(log)
@@ -111,7 +115,7 @@ def cmd_prepare_data(cfg):
     return 0
 
 
-def cmd_train(cfg):
+def cmd_train(cfg, args):
     ws, sequences, vocab, ctx_vocab = _load_workspace(cfg)
     digest = _vocab_digest(ws)
     model = SequentialRecommender(
@@ -133,19 +137,19 @@ def cmd_train(cfg):
     return 0
 
 
-def cmd_evaluate(cfg, split):
+def cmd_evaluate(cfg, args):
     ws, sequences, vocab, ctx_vocab = _load_workspace(cfg)
     model = _load_checkpoint(ws, vocab, ctx_vocab)
-    report = training.evaluate(model, sequences, ctx_vocab, split)
+    report = training.evaluate(model, sequences, ctx_vocab, args.split)
     doc = report.to_json_dict(config_hash(cfg))
-    out = ws / f"metrics_{split}.json"
+    out = ws / f"metrics_{args.split}.json"
     with atomic_write(out) as f:
         json.dump(doc, f, sort_keys=True, indent=2)
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 
 
-def cmd_ablate(cfg):
+def cmd_ablate(cfg, args):
     ws, sequences, vocab, ctx_vocab = _load_workspace(cfg)
     samples = _all_samples(sequences, ctx_vocab, cfg["max_len"])
     base_config = model_config(cfg, vocab.n_items, ctx_vocab.size)
@@ -167,7 +171,7 @@ def cmd_ablate(cfg):
     return 0
 
 
-def cmd_count_params(cfg):
+def cmd_count_params(cfg, args):
     if cfg["vocab_size"] > 0:
         vocab_size, n_contexts = cfg["vocab_size"], max(cfg["contexts"], 1)
     else:
@@ -186,13 +190,13 @@ def cmd_count_params(cfg):
     return 0
 
 
-def cmd_export_attention(cfg, user, last_k):
+def cmd_export_attention(cfg, args):
     ws, sequences, vocab, ctx_vocab = _load_workspace(cfg)
     model = _load_checkpoint(ws, vocab, ctx_vocab)
-    if user is not None:
-        matching = [s for s in sequences if s.user == user]
+    if args.user is not None:
+        matching = [s for s in sequences if s.user == args.user]
         if not matching:
-            raise ValueError(f"user {user!r} not found")
+            raise ValueError(f"user {args.user!r} not found")
         seq = matching[0]
     else:
         seq = sequences[0]
@@ -200,7 +204,7 @@ def cmd_export_attention(cfg, user, last_k):
     if sample is None:
         raise ValueError(f"sequence for user {seq.user!r} too short")
     items, ctxs, _ = sample
-    maps = training.export_attention(model, items, ctxs, last_k=last_k)
+    maps = training.export_attention(model, items, ctxs, last_k=args.last_k)
     chash = config_hash(cfg)
     for name, matrix in maps.items():
         suffix = "attention_mean.csv" if name == "mean" else f"attention_{name}.csv"
@@ -212,10 +216,10 @@ def cmd_export_attention(cfg, user, last_k):
     return 0
 
 
-def cmd_gradcheck(cfg, threshold=1e-3):
+def cmd_gradcheck(cfg, args, threshold=1e-3):
     rng = np.random.default_rng(cfg["seed"])
     vocab_size = max(cfg["vocab_size"], 20)
-    n_contexts = max(cfg["contexts"], 1) if cfg["contexts"] else 8
+    n_contexts = cfg["contexts"] or 8
     with use_dtype(np.float64):
         model = SequentialRecommender(
             model_config(cfg, vocab_size, n_contexts), seed=cfg["seed"])
@@ -238,55 +242,36 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="twinrec",
         description="Memory-efficient sequential recommender experiments")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a single config key")
         return p
 
-    add("prepare-data", help="ingest a TSV log into sequences + vocabs")
-    add("train", help="train a model on a prepared workspace")
-    p = add("evaluate", help="evaluate a checkpoint")
+    add("prepare-data", cmd_prepare_data, "ingest a TSV log into sequences + vocabs")
+    add("train", cmd_train, "train a model on a prepared workspace")
+    p = add("evaluate", cmd_evaluate, "evaluate a checkpoint")
     p.add_argument("--split", choices=("val", "test"), default="test")
-    add("ablate", help="train and evaluate all four variants with a shared seed")
-    add("count-params", help="print the parameter breakdown")
-    p = add("export-attention", help="emit attention heatmap CSVs")
+    add("ablate", cmd_ablate, "train and evaluate all four variants with a shared seed")
+    add("count-params", cmd_count_params, "print the parameter breakdown")
+    p = add("export-attention", cmd_export_attention, "emit attention heatmap CSVs")
     p.add_argument("--user", default=None, help="raw user id (default: first user)")
     p.add_argument("--last-k", type=int, default=10)
-    add("gradcheck", help="finite-difference gradient check on a tiny model")
+    add("gradcheck", cmd_gradcheck, "finite-difference gradient check on a tiny model")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
-        cfg = load_config(args.config, args.overrides)
-        if args.command == "prepare-data":
-            return cmd_prepare_data(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.split)
-        if args.command == "ablate":
-            return cmd_ablate(cfg)
-        if args.command == "count-params":
-            return cmd_count_params(cfg)
-        if args.command == "export-attention":
-            return cmd_export_attention(cfg, args.user, args.last_k)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg)
-        parser.print_usage(sys.stderr)
-        return 2
+        return args.run(load_config(args.config, args.overrides), args)
     except (ConfigError, OSError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -35,11 +35,13 @@ _TRAIN_KEYS = _keys(TrainConfig)
 # key -> (type, default)
 SCHEMA = {key: (type(f.default), f.default)
           for key, f in {**_MODEL_KEYS, **_TRAIN_KEYS}.items()}
+# ``vocab_size`` and ``contexts`` size the models of count-params and
+# gradcheck, each by its own rule (README, "CLI"); other commands ignore them.
 SCHEMA.update({
     "data": (str, ""),          # input interaction TSV (prepare-data)
     "workspace": (str, "out"),  # output / artifact directory
-    "vocab_size": (int, 0),     # 0 = derive from prepared workspace
-    "contexts": (int, 0),       # 0 = derive from prepared workspace
+    "vocab_size": (int, 0),
+    "contexts": (int, 0),
 })
 
 
@@ -61,12 +63,19 @@ def train_config(cfg):
     return TrainConfig(**{f.name: cfg[key] for key, f in _TRAIN_KEYS.items()})
 
 
-def _parse_value(key, raw):
+def _apply(cfg, where, item):
+    """Set one ``key=value`` pair in ``cfg``; ``where`` opens each error message."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected key = value")
+    key, raw = (part.strip() for part in item.split("=", 1))
+    if key not in SCHEMA:
+        raise ConfigError(f"{where}: unknown config key {key!r}")
     typ, _ = SCHEMA[key]
     try:
-        return typ(raw)
+        cfg[key] = typ(raw)
     except ValueError as e:
-        raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {typ.__name__}") from e
+        raise ConfigError(f"{where}: config key {key!r}: cannot parse {raw!r} as "
+                          f"{typ.__name__}") from e
 
 
 def load_config(path=None, overrides=()):
@@ -76,27 +85,19 @@ def load_config(path=None, overrides=()):
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
                 line = _COMMENT.split(line, 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, raw = (part.strip() for part in line.split("=", 1))
-                if key not in SCHEMA:
-                    raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-                cfg[key] = _parse_value(key, raw)
+                if line:
+                    _apply(cfg, f"{path}:{lineno}", line)
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r}: expected key=value")
-        key, raw = (part.strip() for part in item.split("=", 1))
-        if key not in SCHEMA:
-            raise ConfigError(f"override: unknown config key {key!r}")
-        cfg[key] = _parse_value(key, raw)
+        _apply(cfg, f"override {item!r}", item)
     validate(cfg)
     return cfg
 
 
 def validate(cfg):
-    """Check every setting by building both dataclasses."""
+    """Check every setting by building both dataclasses, and the CLI's own sizes."""
+    for key in ("vocab_size", "contexts"):
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} must be at least 0, got {cfg[key]}")
     try:
         model_config(cfg, 1, 1)  # item and context counts exist only after prepare-data
         train_config(cfg)

@@ -159,9 +159,11 @@ class SequentialRecommender:
         ctxs = np.asarray(ctx_indices, dtype=np.int64)
         if items.ndim != 1 or items.shape != ctxs.shape:
             raise ValueError(f"items {items.shape} and contexts {ctxs.shape} misaligned or not 1-D")
-        bad = items[(items < 0) | (items >= self.config.vocab_size)]
-        if bad.size:
-            raise ValueError(f"item {bad[0]} outside item range")
+        for name, ids, n in (("item", items, self.config.vocab_size),
+                             ("context", ctxs, self.config.n_contexts)):
+            bad = ids[(ids < 0) | (ids >= n)]
+            if bad.size:
+                raise ValueError(f"{name} {bad[0]} outside {name} range")
         sizes = np.asarray([items.size] if lengths is None else lengths, dtype=np.int64)
         if sizes.ndim != 1 or not sizes.size or sizes.min() < 1:
             raise ValueError(f"window lengths {sizes.tolist()}: need one or more, each at least 1")

@@ -6,7 +6,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from twinrec.cli import main
+from twinrec import cli
+from twinrec.cli import build_parser, main
 from twinrec.config import (SCHEMA, ConfigError, config_hash, load_config, model_config,
                             train_config)
 from twinrec.data import load_sequences
@@ -78,6 +79,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("line,message", [
+        ("dim", "expected key = value"), ("banana = 1", "unknown config key 'banana'"),
+        ("dim = x", "config key 'dim': cannot parse 'x' as int")])
+    def test_file_line_and_override_fail_alike(self, tmp_path, line, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"seed = 1\n{line}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+            load_config(path)
+        override = line.replace(" ", "")
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'override {override!r}: {message}')}$"):
+            load_config(None, [override])
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
             load_config(None, ["dim=notanint"])
@@ -97,7 +110,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("override", ["heads=0", "layers=0", "tables=0", "m1=0", "max_len=0",
                                           "dim=0", "batch_size=0", "patience=0", "epochs=-1",
-                                          "l2=-1", "kernel_size=4", "variant=bogus"])
+                                          "l2=-1", "kernel_size=4", "variant=bogus",
+                                          "vocab_size=-5", "contexts=-3"])
     def test_out_of_range_setting_named_with_its_value(self, override):
         key, value = override.split("=")
         with pytest.raises(ConfigError, match=f"{key}.*{value}"):
@@ -137,9 +151,22 @@ class TestConfig:
         assert a == b and a != c and len(a) == 16
 
 
+# The subcommands as ``build_parser`` declares them, read from its usage line.
+SUBCOMMANDS = re.search(r"\{(.+?)\}", build_parser().format_usage()).group(1).split(",")
+
+
 class TestDispatch:
     def test_no_subcommand(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_each_subcommand_runs_its_own_handler(self, monkeypatch, command):
+        calls = []
+        for name in SUBCOMMANDS:
+            handler = "cmd_" + name.replace("-", "_")
+            monkeypatch.setattr(cli, handler, lambda cfg, args, h=handler: calls.append(h) or 7)
+        assert main([command]) == 7
+        assert calls == ["cmd_" + command.replace("-", "_")]
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) != 0
@@ -371,6 +398,14 @@ class TestPipeline:
         assert len(err) == 1 and err[0].startswith("error: training diverged at epoch 0, batch 1: ")
         assert re.search(r"'(emb|fusion|enc0|out)\.[a-z_0-9.]+'$", err[0])
         assert not (ws / "checkpoint.bin").exists()
+
+    def test_header_only_log_is_one_error_line(self, workspace, capsys):
+        ws, log = workspace
+        log.write_text("user\titem\tcategory\ttimestamp\n")
+        assert main(["prepare-data", "--set", f"data={log}"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: no interactions to process"]
+        assert not ws.exists()
 
     def test_unreadable_data_is_one_error_line(self, workspace, capsys):
         ws, log = workspace

@@ -130,6 +130,23 @@ class TestForward:
         with pytest.raises(ValueError, match=message):
             model.training_loss([other, (items, ctxs, 2)], lam=0.0)
 
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    @pytest.mark.parametrize("ctx", [-1, 6])  # tiny_config has 6 contexts
+    def test_context_outside_the_vocabulary_is_rejected(self, where, ctx):
+        # -1 would read the last context row; 6 would escape as an IndexError.
+        rng = np.random.default_rng(7)
+        model = SequentialRecommender(tiny_config(), seed=7)
+        items, ctxs = random_sequence(rng, model.config)
+        ctxs[where] = ctx
+        other = (*random_sequence(rng, model.config, t=8), 1)
+        message = f"context {ctx} outside context range"
+        with pytest.raises(ValueError, match=message):
+            model.forward_scores(items, ctxs)
+        with pytest.raises(ValueError, match=message):
+            model.predict_topk(items, ctxs, 3)
+        with pytest.raises(ValueError, match=message):
+            model.training_loss([other, (items, ctxs, 2)], lam=0.0)
+
     @pytest.mark.parametrize("lengths,message", [
         ([2, 2], "sum to 4"), ([3, 3], "sum to 6"), ([5, 0], "at least 1"),
         ([6, -1], "at least 1"), ([], "at least 1"), ([[5]], "at least 1")])
